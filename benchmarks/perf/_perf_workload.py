@@ -12,11 +12,7 @@ import numpy as np
 from repro.core.dtdbd import DTDBDConfig, DTDBDTrainer
 from repro.core.trainer import Trainer, TrainerConfig, evaluate_model
 from repro.data import DataLoader, make_weibo21_like
-from repro.encoders import (
-    FrozenPretrainedEncoder,
-    emotion_feature_extractor,
-    style_feature_extractor,
-)
+from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
 from repro.models import ModelConfig, build_model
 from repro.tensor import default_dtype, fused_kernels
 
@@ -44,12 +40,7 @@ def build_workload(dtype: str, model_name: str):
         encoder = FrozenPretrainedEncoder(len(vocab), output_dim=PLM_DIM, seed=3)
         loader = DataLoader(
             dataset, vocab, max_length=MAX_LENGTH, batch_size=BATCH_SIZE,
-            shuffle=True, seed=0,
-            feature_extractors={
-                "plm": encoder.as_feature_extractor(),
-                "style": style_feature_extractor,
-                "emotion": emotion_feature_extractor,
-            })
+            shuffle=True, seed=0, channels=stock_channels(LocalBackend(encoder)))
         config = ModelConfig(plm_dim=PLM_DIM, num_domains=dataset.num_domains, seed=0)
         model = build_model(model_name, config)
     return model, loader
@@ -98,12 +89,7 @@ def build_dtdbd_workload(dtype: str, cached: bool):
         encoder = FrozenPretrainedEncoder(len(vocab), output_dim=PLM_DIM, seed=3)
         loader = DataLoader(
             dataset, vocab, max_length=MAX_LENGTH, batch_size=BATCH_SIZE,
-            shuffle=True, seed=0,
-            feature_extractors={
-                "plm": encoder.as_feature_extractor(),
-                "style": style_feature_extractor,
-                "emotion": emotion_feature_extractor,
-            })
+            shuffle=True, seed=0, channels=stock_channels(LocalBackend(encoder)))
         config = ModelConfig(plm_dim=PLM_DIM, num_domains=dataset.num_domains, seed=0)
         student = build_model("textcnn_s", config)
         unbiased = build_model("textcnn_s", config.with_overrides(seed=1))

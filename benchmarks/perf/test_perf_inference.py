@@ -160,8 +160,8 @@ def test_inference_smoke_microbatch_amortises(tmp_path):
                for text, domain in zip(texts[:20], domains[:20])]
     queue.drain()
     assert all(ticket.done for ticket in tickets)
-    assert queue.batches_flushed == 3  # 8 + 8 + 4
-    assert queue.flush_reasons == {"full": 2, "latency": 0, "drain": 1}
+    assert queue.stats.batches == 3  # 8 + 8 + 4
+    assert queue.stats.flush_reasons == {"full": 2, "latency": 0, "drain": 1}
     for ticket in tickets:
         assert ticket.result.label in (0, 1)
         assert 0.0 <= ticket.result.probability_fake <= 1.0

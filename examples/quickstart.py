@@ -26,11 +26,7 @@ from repro.core import (
     train_unbiased_teacher,
 )
 from repro.data import DataLoader, make_weibo21_like, stratified_split
-from repro.encoders import (
-    FrozenPretrainedEncoder,
-    emotion_feature_extractor,
-    style_feature_extractor,
-)
+from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
 from repro.models import ModelConfig, build_model
 
 
@@ -51,13 +47,11 @@ def main() -> None:
 
     # 2. Frozen encoder + loaders ------------------------------------------ #
     encoder = FrozenPretrainedEncoder(len(vocab), output_dim=32, seed=args.seed)
-    extractors = {"plm": encoder.as_feature_extractor(),
-                  "style": style_feature_extractor,
-                  "emotion": emotion_feature_extractor}
+    channels = stock_channels(LocalBackend(encoder))
 
     def loader(split, shuffle):
         return DataLoader(split, vocab, max_length=24, batch_size=32, shuffle=shuffle,
-                          seed=0, feature_extractors=extractors)
+                          seed=0, channels=channels)
 
     train_loader = loader(splits.train, True)
     val_loader = loader(splits.val, False)

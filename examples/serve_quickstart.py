@@ -66,8 +66,8 @@ def main() -> None:
                    for item in bundle.splits.test.items[:100]]
     correct = sum(ticket.result.label == item.label
                   for ticket, item in zip(tickets, bundle.splits.test.items[:100]))
-    print(f"Micro-batched 100 requests in {queue.batches_flushed} batches "
-          f"({queue.flush_reasons}); accuracy {correct}/100")
+    print(f"Micro-batched 100 requests in {queue.stats.batches} batches "
+          f"({queue.stats.flush_reasons}); accuracy {correct}/100")
 
     total = sum(1 for _ in predictor.predict_iter(
         (item.text for item in bundle.splits.test), batch_size=64))

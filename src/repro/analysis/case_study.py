@@ -62,12 +62,12 @@ class CaseStudyRow:
 
 def run_case_study(probes: list[CaseStudyItem], models: dict[str, FakeNewsDetector],
                    vocab: Vocabulary, domain_names: list[str], max_length: int = 24,
-                   feature_extractors=None) -> list[CaseStudyRow]:
+                   channels=None) -> list[CaseStudyRow]:
     """Evaluate every model on every probe item and collect the probabilities."""
     dataset = MultiDomainNewsDataset([probe.item for probe in probes], domain_names,
                                      name="case-study")
     loader = DataLoader(dataset, vocab, max_length=max_length, batch_size=len(probes),
-                        shuffle=False, feature_extractors=feature_extractors or {})
+                        shuffle=False, channels=channels)
     batch = loader.full_batch()
     rows: list[CaseStudyRow] = []
     for index, probe in enumerate(probes):

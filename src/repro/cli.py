@@ -241,36 +241,21 @@ def cmd_backends(args) -> int:
     return 0
 
 
-def _echo_backend_line(path: str) -> None:
-    """Print the artifact's encoder-backend identity (kind + fingerprint)."""
-    import json
-    import os
-
-    from repro.encoders.backends import spec_fingerprint
-    from repro.serve import MANIFEST_FILE
-
-    try:
-        with open(os.path.join(path, MANIFEST_FILE), "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError):
-        return  # the checksum pass already reported manifest damage
-    spec = manifest.get("encoder_backend")
-    if spec is None and "encoder" in manifest:
-        spec = {"kind": "local", "encoder": manifest["encoder"]}
-    if isinstance(spec, dict) and "kind" in spec:
-        channels = manifest.get("feature_channels", [])
-        print(f"verify: encoder backend kind={spec['kind']} "
-              f"fingerprint={spec_fingerprint(spec)} "
-              f"channels={','.join(channels)}")
-
-
 def cmd_verify(args) -> int:
     """Check every recorded artifact checksum; one line per file, exit 0/2."""
     import json
     import os
 
+    from repro.encoders.backends import spec_fingerprint
     from repro.reliability.durable import sha256_file
-    from repro.serve import CHECKSUMS_FILE
+    from repro.serve import (
+        CHECKSUMS_FILE,
+        MANIFEST_FILE,
+        VOCAB_FILE,
+        WEIGHTS_FILE,
+        PipelineError,
+        read_manifest,
+    )
 
     path = args.pipeline
     checks_path = os.path.join(path, CHECKSUMS_FILE)
@@ -278,15 +263,19 @@ def cmd_verify(args) -> int:
         print(f"verify: no pipeline artifact at '{path}'", file=sys.stderr)
         return 2
     if not os.path.exists(checks_path):
-        print(f"verify: '{path}' records no checksums ({CHECKSUMS_FILE} missing) "
-              "— a legacy artifact; re-export to add integrity checks")
-        _echo_backend_line(path)
-        return 0
+        print(f"verify: '{path}' records no checksums ({CHECKSUMS_FILE} "
+              "missing); the export did not finish — re-export it", file=sys.stderr)
+        return 2
     try:
         with open(checks_path, "r", encoding="utf-8") as handle:
             recorded = json.load(handle)
     except (OSError, ValueError) as error:
         print(f"verify: cannot read {CHECKSUMS_FILE}: {error}", file=sys.stderr)
+        return 2
+    unlisted = sorted({MANIFEST_FILE, WEIGHTS_FILE, VOCAB_FILE} - set(recorded))
+    if unlisted:
+        print(f"verify: {CHECKSUMS_FILE} does not cover {unlisted}; "
+              "re-export it", file=sys.stderr)
         return 2
     failures = 0
     for name, digest in sorted(recorded.items()):
@@ -307,7 +296,15 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     print(f"verify: all {len(recorded)} files intact in '{path}'")
-    _echo_backend_line(path)
+    try:
+        manifest = read_manifest(path)
+    except PipelineError as error:
+        print(f"verify: {error}", file=sys.stderr)
+        return 2
+    spec = manifest["encoder_backend"]
+    channels = [channel["kind"] for channel in manifest["feature_channels"]]
+    print(f"verify: encoder backend kind={spec['kind']} "
+          f"fingerprint={spec_fingerprint(spec)} channels={','.join(channels)}")
     return 0
 
 
@@ -465,7 +462,7 @@ def _stream_ring_loader(pipeline, events, buffer_size: int, seed: int):
     return DataLoader(dataset, pipeline.vocab, max_length=pipeline.max_length,
                       batch_size=min(32, buffer_size), shuffle=True, seed=seed,
                       tokenizer=pipeline.tokenizer,
-                      channels=pipeline.resolve_channels())
+                      channels=pipeline.channels)
 
 
 def cmd_stream(args) -> int:

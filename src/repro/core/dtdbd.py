@@ -381,7 +381,7 @@ class DTDBDTrainer:
     def export_pipeline(self, path, *, vocab, encoder, max_length: int,
                         tokenizer=None, domain_names=None,
                         model_name: str | None = None,
-                        feature_channels=None, metadata=None) -> str:
+                        metadata=None) -> str:
         """Bundle the distilled *student* into a servable artifact at ``path``.
 
         The paper's deployment story is exactly this: the lightweight student
@@ -394,7 +394,7 @@ class DTDBDTrainer:
         return export_pipeline(self.student, path, vocab=vocab, encoder=encoder,
                                tokenizer=tokenizer, max_length=max_length,
                                domain_names=domain_names, model_name=model_name,
-                               feature_channels=feature_channels, metadata=metadata)
+                               metadata=metadata)
 
 
 # --------------------------------------------------------------------------- #

@@ -313,7 +313,7 @@ class Trainer:
     def export_pipeline(self, path, *, vocab, encoder, max_length: int,
                         tokenizer=None, domain_names=None,
                         model_name: str | None = None,
-                        feature_channels=None, metadata=None) -> str:
+                        metadata=None) -> str:
         """Bundle the trained model into a servable artifact at ``path``.
 
         Thin wrapper over :func:`repro.serve.export_pipeline`; ``vocab``,
@@ -328,4 +328,4 @@ class Trainer:
         return export_pipeline(self.model, path, vocab=vocab, encoder=encoder,
                                tokenizer=tokenizer, max_length=max_length,
                                domain_names=domain_names, model_name=model_name,
-                               feature_channels=feature_channels, metadata=metadata)
+                               metadata=metadata)

@@ -1,7 +1,8 @@
 """Batching: :class:`Batch` containers and the :class:`DataLoader`.
 
 The loader encodes the whole dataset once (token ids, mask, labels, domains)
-and optionally precomputes *feature channels* — e.g. the frozen pre-trained
+and optionally precomputes *feature channels*
+(:class:`repro.encoders.FeatureChannel`) — e.g. the frozen pre-trained
 encoder output, style features or emotion features — so that iterating over
 epochs is just array slicing.
 """
@@ -9,18 +10,14 @@ epochs is just array slicing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.data.dataset import MultiDomainNewsDataset, NewsItem
+from repro.data.dataset import MultiDomainNewsDataset
 from repro.data.tokenizer import WhitespaceTokenizer
 from repro.data.vocab import Vocabulary
 from repro.tensor import get_default_dtype
-
-#: A feature extractor receives the news items plus the encoded token ids and
-#: mask, and returns one array with the batch dimension first.
-FeatureExtractor = Callable[[Sequence[NewsItem], np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -60,7 +57,6 @@ class DataLoader:
     def __init__(self, dataset: MultiDomainNewsDataset, vocab: Vocabulary,
                  max_length: int = 24, batch_size: int = 32, shuffle: bool = True,
                  seed: int = 0,
-                 feature_extractors: dict[str, FeatureExtractor] | None = None,
                  tokenizer: WhitespaceTokenizer | None = None,
                  channels: Sequence | None = None):
         if batch_size <= 0:
@@ -81,35 +77,30 @@ class DataLoader:
         # models never re-cast per batch (matters on the float32 fast path).
         compute_dtype = get_default_dtype()
         self.mask = self.mask.astype(compute_dtype, copy=False)
-        self.channels = self._resolve_channels(channels)
-        extractors = dict(feature_extractors or {})
-        for channel in self.channels:
-            if channel.name in extractors:
-                raise ValueError(
-                    f"feature channel '{channel.name}' passed both as a channel "
-                    "and in feature_extractors")
-            extractors[channel.name] = channel.as_extractor()
+        self.channels = self._channel_objects(channels)
         self.features: dict[str, np.ndarray] = {}
-        for name, extractor in extractors.items():
-            values = np.asarray(extractor(dataset.items, self.token_ids, self.mask))
+        for channel in self.channels:
+            values = np.asarray(channel.extract(dataset.items, self.token_ids,
+                                                self.mask))
             if values.shape[0] != len(dataset):
                 raise ValueError(
-                    f"feature extractor '{name}' returned {values.shape[0]} rows "
-                    f"for a dataset of size {len(dataset)}")
+                    f"feature channel '{channel.name}' returned {values.shape[0]} "
+                    f"rows for a dataset of size {len(dataset)}")
             if np.issubdtype(values.dtype, np.floating):
                 values = values.astype(compute_dtype, copy=False)
-            self.features[name] = values
+            self.features[channel.name] = values
         # Identity index array shared by every deterministic iteration: eval
         # batches slice views out of it instead of allocating ranges per batch.
         self._identity = np.arange(len(dataset))
 
     @staticmethod
-    def _resolve_channels(channels: Sequence | None) -> list:
+    def _channel_objects(channels: Sequence | None) -> list:
         """Resolve ``channels`` entries to :class:`FeatureChannel` instances.
 
         Accepts channel instances directly or spec dicts resolved through the
-        :data:`repro.encoders.FEATURE_CHANNELS` registry, so a loader can be
-        built straight from a pipeline manifest's channel specs.
+        :data:`repro.encoders.FEATURE_CHANNELS` registry.  A ``plm`` channel
+        must be an instance: its spec names no backend (a pipeline binds it to
+        its own, see :func:`repro.encoders.channels_from_specs`).
         """
         if not channels:
             return []

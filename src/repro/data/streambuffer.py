@@ -10,11 +10,6 @@ cursor, and returns the absolute row indices it touched — exactly the
 handle :meth:`repro.core.DTDBDTrainer.invalidate_teacher_caches` needs to
 invalidate only the :class:`~repro.core.TeacherCache` windows containing
 fresh data.
-
-The loader must have been built with explicit feature ``channels`` (not bare
-``feature_extractors``): channels are retained on the loader and can
-recompute rows on demand, while ad-hoc extractor callables are consumed at
-construction and gone.
 """
 
 from __future__ import annotations
@@ -29,14 +24,6 @@ class StreamWindowBuffer:
     """Overwrite rows of a loader with fresh items, oldest-first."""
 
     def __init__(self, loader: DataLoader):
-        channel_names = {channel.name for channel in loader.channels}
-        if set(loader.features) != channel_names:
-            raise ValueError(
-                "StreamWindowBuffer needs a loader whose every feature comes "
-                "from a FeatureChannel (so rows can be recomputed in place); "
-                f"this loader has features {sorted(loader.features)} but "
-                f"channels {sorted(channel_names)} — build it with channels=, "
-                "not feature_extractors=")
         self.loader = loader
         self._cursor = 0
         #: total items ever written (diagnostics; wraps are written -
@@ -96,7 +83,7 @@ class StreamWindowBuffer:
         loader.domains[indices] = np.array([item.domain for item in items],
                                            dtype=loader.domains.dtype)
         for channel in loader.channels:
-            values = np.asarray(channel.as_extractor()(items, token_ids, mask))
+            values = np.asarray(channel.extract(items, token_ids, mask))
             if values.shape[0] != len(items):
                 raise ValueError(
                     f"feature channel '{channel.name}' returned "

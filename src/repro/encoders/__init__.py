@@ -33,9 +33,7 @@ from repro.encoders.channels import (
 from repro.encoders.features import (
     EMOTION_FEATURE_DIM,
     STYLE_FEATURE_DIM,
-    emotion_feature_extractor,
     emotion_features,
-    style_feature_extractor,
     style_features,
 )
 from repro.encoders.pretrained import FrozenPretrainedEncoder
@@ -43,7 +41,6 @@ from repro.encoders.pretrained import FrozenPretrainedEncoder
 __all__ = [
     "FrozenPretrainedEncoder",
     "style_features", "emotion_features",
-    "style_feature_extractor", "emotion_feature_extractor",
     "STYLE_FEATURE_DIM", "EMOTION_FEATURE_DIM",
     # backends
     "EncoderBackend", "EncoderBackendError", "LocalBackend", "CachedBackend",

@@ -31,7 +31,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
-from typing import Callable
 
 import numpy as np
 
@@ -114,16 +113,6 @@ class EncoderBackend(abc.ABC):
         """
         return spec_fingerprint(self.to_spec())
 
-    def encoder_spec(self) -> dict | None:
-        """Spec of the underlying :class:`FrozenPretrainedEncoder`, if any.
-
-        Pipeline manifests keep writing the legacy ``"encoder"`` key from
-        this, so artifacts exported with any stock backend stay loadable by
-        readers that predate the backend registry.  Backends with no frozen
-        encoder underneath return ``None``.
-        """
-        return None
-
     # ------------------------------------------------------------------ #
     # Operational hooks (no-ops by default)                                #
     # ------------------------------------------------------------------ #
@@ -138,23 +127,6 @@ class EncoderBackend(abc.ABC):
         """The health-endpoint view: kind, fingerprint and live counters."""
         return {"kind": self.kind, "fingerprint": self.fingerprint(),
                 **self.stats()}
-
-    # ------------------------------------------------------------------ #
-    # Loader adapters (same shape FrozenPretrainedEncoder provides)        #
-    # ------------------------------------------------------------------ #
-    def as_feature_extractor(self) -> Callable:
-        """Adapter matching :data:`repro.data.loader.FeatureExtractor`."""
-
-        def extractor(items, token_ids, mask):
-            return self.encode(token_ids, mask)
-
-        return extractor
-
-    def as_pooled_feature_extractor(self) -> Callable:
-        def extractor(items, token_ids, mask):
-            return self.encode_pooled(token_ids, mask)
-
-        return extractor
 
 
 # --------------------------------------------------------------------------- #

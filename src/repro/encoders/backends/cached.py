@@ -160,8 +160,5 @@ class CachedBackend(EncoderBackend):
 
         return cls(LocalBackend(encoder), **options)
 
-    def encoder_spec(self) -> dict | None:
-        return self.inner.encoder_spec()
-
 
 register_encoder_backend("cached", CachedBackend)

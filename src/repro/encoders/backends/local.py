@@ -50,8 +50,5 @@ class LocalBackend(EncoderBackend):
     def from_encoder(cls, encoder: FrozenPretrainedEncoder) -> "LocalBackend":
         return cls(encoder)
 
-    def encoder_spec(self) -> dict:
-        return self.encoder.to_spec()
-
 
 register_encoder_backend("local", LocalBackend)

@@ -210,8 +210,5 @@ class RemoteBackend(EncoderBackend):
             max_rows_per_request=spec.get("max_rows_per_request", 64),
             coalesce=spec.get("coalesce", True))
 
-    def encoder_spec(self) -> dict | None:
-        return self.transport.describe().get("encoder")
-
 
 register_encoder_backend("remote", RemoteBackend)

@@ -3,17 +3,14 @@
 A *feature channel* is a named, precomputable view of the data that models
 consume through ``batch.feature(name)`` — the paper's frozen-PLM activations
 (``plm``), handcrafted writing-style (``style``) and dual-emotion
-(``emotion``) vectors, or any custom extractor a user registers.  Before this
-registry the three stock channels were hard-wired separately into
-``experiments.prepare_data`` (training), ``serve.Predictor`` (inference) and
-the pipeline manifest (persistence); a custom extractor could train but never
-round-trip through a serving artifact.
+(``emotion``) vectors, or any custom channel a user registers.  Channels are
+the only way features are described, from :class:`repro.data.DataLoader`
+through ``DataBundle`` and the pipeline manifest to ``serve.Predictor``.
 
-:class:`FeatureChannel` unifies the three roles:
+:class:`FeatureChannel` carries the three roles:
 
 * :meth:`extract` — the training/loader path: items + encoded token window
-  in, one ``(n, ...)`` array out (the :data:`repro.data.loader.FeatureExtractor`
-  contract, adapted by :meth:`as_extractor`);
+  in, one ``(n, ...)`` array out;
 * :meth:`serve` — the serving path: recompute the same values from raw
   request texts (a :class:`ServeRequest` carries texts, the encoded window,
   lazily tokenised token lists and the pipeline's wrapped ``plm`` encode);
@@ -21,23 +18,23 @@ round-trip through a serving artifact.
   pipeline manifest stores, reconstructed through :data:`FEATURE_CHANNELS`
   in any process that performed the same :func:`register_feature_channel`.
 
-The stock channels register themselves at import; custom channels follow the
-same two-step custom-model recipe (``register_model`` +
-``register_feature_channel``) to round-trip through ``export_pipeline`` /
-``load_pipeline`` — pinned bit-identically in ``tests/serve/test_pipeline.py``.
+The ``plm`` spec is just ``{"kind": "plm"}``: the manifest stores the encoder
+backend once, and :func:`channels_from_specs` binds every ``plm`` spec to it.
+Custom channels follow the same two-step custom-model recipe
+(``register_model`` + ``register_feature_channel``) to round-trip through
+``export_pipeline`` / ``load_pipeline`` — pinned bit-identically in
+``tests/serve/test_backend_pipeline.py``.
 """
 
 from __future__ import annotations
 
 import abc
-import hashlib
-import json
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.data.dataset import NewsItem, default_token_lists
-from repro.encoders.backends import EncoderBackend, as_backend, backend_from_spec
+from repro.encoders.backends import EncoderBackend, as_backend
 from repro.encoders.features import (
     emotion_features_batch,
     style_features_batch,
@@ -53,7 +50,7 @@ class ServeRequest:
 
     ``token_lists`` tokenises the *untruncated* raw texts with the default
     whitespace tokenizer exactly once, shared across channels — the same
-    contract the training extractors use (they read ``item.text``, not the
+    contract the training-time ``extract`` uses (it reads ``item.text``, not the
     truncated token window).
     """
 
@@ -95,7 +92,7 @@ class FeatureChannel(abc.ABC):
     @abc.abstractmethod
     def extract(self, items: Sequence[NewsItem], token_ids: np.ndarray,
                 mask: np.ndarray) -> np.ndarray:
-        """Training-time extraction over a whole dataset (loader contract)."""
+        """Training-time extraction: one row per item, batch dimension first."""
 
     @abc.abstractmethod
     def serve(self, request: ServeRequest) -> np.ndarray:
@@ -104,18 +101,6 @@ class FeatureChannel(abc.ABC):
     @abc.abstractmethod
     def to_spec(self) -> dict:
         """JSON-serialisable description; must include ``{"kind": self.kind}``."""
-
-    def fingerprint(self) -> str:
-        canonical = json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-    def as_extractor(self) -> Callable:
-        """Adapter to the legacy :data:`repro.data.loader.FeatureExtractor` shape."""
-
-        def extractor(items, token_ids, mask):
-            return self.extract(items, token_ids, mask)
-
-        return extractor
 
 
 # --------------------------------------------------------------------------- #
@@ -165,21 +150,15 @@ def build_feature_channel(spec: dict) -> FeatureChannel:
 
 
 def channels_from_specs(specs: Sequence[dict],
-                        backend: EncoderBackend | None = None) -> list[FeatureChannel]:
-    """Build a channel list from manifest specs, sharing ``backend`` where possible.
+                        backend: EncoderBackend) -> list[FeatureChannel]:
+    """Build a channel list from manifest specs, binding ``plm`` to ``backend``.
 
-    A ``plm`` spec whose backend fingerprint matches the pipeline's backend is
-    re-bound to the *same* backend instance, so the pipeline's cache / circuit
-    state stays singular instead of every channel owning a private copy.
+    Every ``plm`` spec binds to the *same* backend instance (the pipeline's),
+    so its cache / circuit state stays singular and the encoder is built once.
     """
-    channels = []
-    for spec in specs:
-        channel = build_feature_channel(spec)
-        if (backend is not None and isinstance(channel, PLMChannel)
-                and channel.backend.fingerprint() == backend.fingerprint()):
-            channel.backend = backend
-        channels.append(channel)
-    return channels
+    return [PLMChannel(backend)
+            if isinstance(spec, dict) and spec.get("kind") == PLMChannel.kind
+            else build_feature_channel(spec) for spec in specs]
 
 
 # --------------------------------------------------------------------------- #
@@ -198,15 +177,19 @@ class PLMChannel(FeatureChannel):
 
     def serve(self, request: ServeRequest) -> np.ndarray:
         # Through the request's wrapped encode so the pipeline's retry policy
-        # and circuit breaker apply, exactly like the pre-registry hard wiring.
+        # and circuit breaker apply; a Pipeline refuses a plm channel whose
+        # backend differs from its own, so this is the same encoder.
         return request.encode_plm(request.token_ids, request.mask)
 
     def to_spec(self) -> dict:
-        return {"kind": self.kind, "backend": self.backend.to_spec()}
+        return {"kind": self.kind}
 
     @classmethod
     def from_spec(cls, spec: dict) -> "PLMChannel":
-        return cls(backend_from_spec(spec["backend"]))
+        raise FeatureChannelError(
+            "a 'plm' spec names no encoder: it binds to the pipeline's encoder "
+            "backend through channels_from_specs(specs, backend); pass a "
+            "PLMChannel(backend) instance instead")
 
 
 class StyleChannel(FeatureChannel):

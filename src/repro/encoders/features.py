@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.dataset import NewsItem, default_token_lists
-
 #: Token prefixes emitted by the synthetic generator.
 EMOTION_PREFIXES = ("emo_arousal", "emo_neutral")
 STYLE_PREFIXES = ("style_sensational", "style_formal")
@@ -172,15 +170,3 @@ def emotion_features_batch(token_lists: Sequence[Sequence[str]]) -> np.ndarray:
     out[:, 3] = np.where(arousal > neutral, 1.0, 0.0)
     out[:, 4] = np.minimum((arousal + neutral) * 4.0, 1.0)
     return out
-
-
-def style_feature_extractor(items: Sequence[NewsItem], token_ids: np.ndarray,
-                            mask: np.ndarray) -> np.ndarray:
-    """Loader-compatible extractor producing ``(n, STYLE_FEATURE_DIM)``."""
-    return style_features_batch(default_token_lists([item.text for item in items]))
-
-
-def emotion_feature_extractor(items: Sequence[NewsItem], token_ids: np.ndarray,
-                              mask: np.ndarray) -> np.ndarray:
-    """Loader-compatible extractor producing ``(n, EMOTION_FEATURE_DIM)``."""
-    return emotion_features_batch(default_token_lists([item.text for item in items]))

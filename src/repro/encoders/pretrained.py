@@ -133,18 +133,3 @@ class FrozenPretrainedEncoder:
     @classmethod
     def from_spec(cls, spec: dict) -> "FrozenPretrainedEncoder":
         return cls(**spec)
-
-    # ------------------------------------------------------------------ #
-    def as_feature_extractor(self):
-        """Adapter matching :data:`repro.data.loader.FeatureExtractor`."""
-
-        def extractor(items, token_ids, mask):
-            return self.encode(token_ids, mask)
-
-        return extractor
-
-    def as_pooled_feature_extractor(self):
-        def extractor(items, token_ids, mask):
-            return self.encode_pooled(token_ids, mask)
-
-        return extractor

@@ -58,9 +58,6 @@ class DataBundle:
     train_loader: DataLoader
     val_loader: DataLoader
     test_loader: DataLoader
-    #: legacy name -> extractor view of ``channels`` (case study, callers
-    #: that build their own loaders)
-    feature_extractors: dict = field(default_factory=dict)
     #: the backend serving the ``plm`` channel (selected by
     #: ``ExperimentConfig.encoder_backend``; wraps ``encoder``)
     encoder_backend: EncoderBackend | None = None
@@ -141,7 +138,6 @@ def prepare_data(config: ExperimentConfig) -> DataBundle:
     backend = wrap_encoder(config.encoder_backend, encoder,
                            **config.encoder_backend_options)
     channels = stock_channels(backend)
-    extractors = {channel.name: channel.as_extractor() for channel in channels}
 
     def loader(split, shuffle):
         return DataLoader(split, vocab, max_length=config.max_length,
@@ -157,7 +153,6 @@ def prepare_data(config: ExperimentConfig) -> DataBundle:
         train_loader=loader(splits.train, True),
         val_loader=loader(splits.val, False),
         test_loader=loader(splits.test, False),
-        feature_extractors=extractors,
         encoder_backend=backend,
         channels=channels,
     )
@@ -189,10 +184,7 @@ def export_pipeline(model: FakeNewsDetector, bundle: DataBundle, path,
         domain_names=bundle.dataset.domain_names,
         model_name=model_name,
         # Record the channel objects the model actually trained on, so custom
-        # (registered) channels round-trip through the artifact and a
-        # non-recomputable one fails fast at predictor construction instead
-        # of a KeyError deep inside a serving forward.
-        feature_channels=tuple(bundle.feature_extractors),
+        # (registered) channels round-trip through the artifact.
         channels=list(bundle.channels) or None,
         metadata=provenance,
     )
@@ -402,7 +394,7 @@ def run_figure3_case_study(config: ExperimentConfig,
     models = {"m3fend": m3fend, "mdfend": mdfend, "dtdbd": dtdbd_student}
     return run_case_study(probes, models, bundle.vocab, bundle.dataset.domain_names,
                           max_length=config.max_length,
-                          feature_extractors=bundle.feature_extractors)
+                          channels=bundle.channels)
 
 
 def _override(dtdbd_config: DTDBDConfig, **overrides) -> DTDBDConfig:

@@ -5,10 +5,11 @@ constellation of training-time state (vocabulary, tokenizer, frozen encoder,
 model config, dtype policy).  This subpackage bundles all of it into ONE
 servable artifact and answers "is this news item fake?" from raw text:
 
-* :class:`Pipeline` — model + vocab + tokenizer + frozen-encoder spec +
-  :class:`repro.models.ModelConfig` + engine dtype, with
+* :class:`Pipeline` — model + vocab + tokenizer + encoder backend + feature
+  channels + :class:`repro.models.ModelConfig` + engine dtype, with
   :func:`save_pipeline` / :func:`load_pipeline` persisting the whole bundle
-  as one directory (``manifest.json`` + ``weights.npz`` + ``vocab.json``).
+  as one directory (``manifest.json`` + ``weights.npz`` + ``vocab.json`` +
+  ``checksums.json``).
   Models are reconstructed through :func:`repro.models.build_model`, so any
   detector registered with :func:`repro.models.register_model` round-trips.
 * :class:`Predictor` — ``predict(texts, domains=None) -> list[Prediction]``
@@ -42,7 +43,6 @@ Quickstart (see ``examples/serve_quickstart.py`` for the full tour)::
 from repro.serve.microbatch import MicroBatcher, Ticket
 from repro.serve.pipeline import (
     CHECKSUMS_FILE,
-    DEFAULT_FEATURE_CHANNELS,
     MANIFEST_FILE,
     PIPELINE_FORMAT_VERSION,
     VOCAB_FILE,
@@ -51,6 +51,7 @@ from repro.serve.pipeline import (
     PipelineError,
     export_pipeline,
     load_pipeline,
+    read_manifest,
     save_pipeline,
     verify_pipeline,
 )
@@ -61,11 +62,11 @@ from repro.serve.stats import ServeStats
 
 __all__ = [
     "Pipeline", "PipelineError", "save_pipeline", "load_pipeline", "export_pipeline",
-    "verify_pipeline",
+    "verify_pipeline", "read_manifest",
     "Predictor", "Prediction",
     "MicroBatcher", "Ticket",
     "Server", "ServerConfig", "ServerOverloaded", "ServerTicket", "ServeStats",
     "HttpFrontend",
-    "PIPELINE_FORMAT_VERSION", "DEFAULT_FEATURE_CHANNELS",
+    "PIPELINE_FORMAT_VERSION",
     "MANIFEST_FILE", "WEIGHTS_FILE", "VOCAB_FILE", "CHECKSUMS_FILE",
 ]

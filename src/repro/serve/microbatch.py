@@ -70,25 +70,6 @@ class MicroBatcher:
         self.stats = ServeStats()
 
     # ------------------------------------------------------------------ #
-    # Legacy counter views (the original MicroBatcher attributes), kept so
-    # existing callers and tests read the same numbers off the shared ledger.
-    @property
-    def batches_flushed(self) -> int:
-        return self.stats.batches
-
-    @property
-    def items_flushed(self) -> int:
-        return self.stats.served + self.stats.failed
-
-    @property
-    def items_errored(self) -> int:
-        """Items that resolved to an error Prediction instead of a score."""
-        return self.stats.failed
-
-    @property
-    def flush_reasons(self) -> dict[str, int]:
-        return self.stats.flush_reasons
-
     def health(self) -> dict:
         """The queue's ledger plus the predictor's own liveness report."""
         self.stats.set_encoder_backend(self.predictor.backend_state())

@@ -4,17 +4,24 @@ Artifact layout (one directory per pipeline)::
 
     detector/
       manifest.json   # format version, model name + ModelConfig, dtype,
-                      # tokenizer spec, frozen-encoder spec, max_length,
-                      # domain names, feature channels, labels, metadata
+                      # tokenizer spec, encoder-backend spec, max_length,
+                      # domain names, feature-channel specs, labels, metadata
       weights.npz     # versioned checkpoint (repro.nn.save_checkpoint)
       vocab.json      # token list in id order (Vocabulary.to_spec)
+      checksums.json  # SHA-256 of the three files above, written last
 
 Everything in the manifest is a *spec*, not a pickle: the tokenizer and the
-frozen encoder are reconstructed from their constructor arguments (the
-encoder's weights are deterministic functions of its seed), the model through
-:func:`repro.models.build_model` — so a pipeline saved for a detector
-registered via :func:`repro.models.register_model` loads in any process that
-performs the same registration first.
+encoder backend are reconstructed from their constructor arguments (the
+frozen encoder's weights are deterministic functions of its seed), the
+feature channels through the :data:`repro.encoders.FEATURE_CHANNELS`
+registry and the model through :func:`repro.models.build_model` — so a
+pipeline saved for a detector or channel registered via
+:func:`repro.models.register_model` / :func:`repro.encoders.register_feature_channel`
+loads in any process that performs the same registrations first.
+
+Format version 2 holds one representation of each: ``encoder_backend`` is
+the backend's ``to_spec()`` and ``feature_channels`` the list of channel
+specs, whose ``plm`` entry (``{"kind": "plm"}``) binds to that backend.
 
 Loading restores the model under the pipeline's dtype policy and loads the
 saved weights bit-for-bit, so a loaded pipeline reproduces the exporting
@@ -38,16 +45,15 @@ from repro.data.vocab import Vocabulary
 from repro.encoders.backends import (
     EncoderBackend,
     EncoderBackendError,
-    LocalBackend,
     as_backend,
     backend_from_spec,
 )
 from repro.encoders.channels import (
-    STOCK_CHANNELS,
     FeatureChannel,
     FeatureChannelError,
     PLMChannel,
     channels_from_specs,
+    stock_channels,
 )
 from repro.encoders.pretrained import FrozenPretrainedEncoder
 from repro.models.base import FakeNewsDetector, ModelConfig
@@ -59,20 +65,15 @@ from repro.reliability.retry import default_read_policy
 from repro.tensor import default_dtype
 
 #: Bump when the artifact layout changes incompatibly.
-PIPELINE_FORMAT_VERSION = 1
+PIPELINE_FORMAT_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 WEIGHTS_FILE = "weights.npz"
 VOCAB_FILE = "vocab.json"
 #: Sidecar mapping each artifact file to its SHA-256, written last so a
 #: crash mid-save leaves a missing (detectable) sidecar, never a stale one
-#: blessing partial content.  Artifacts written before the reliability PR
-#: have no sidecar and are loaded without verification.
+#: blessing partial content.
 CHECKSUMS_FILE = "checksums.json"
-
-#: Feature channels the stock training loaders precompute and the serving
-#: path recomputes from raw text (see ``repro.serve.predictor``).
-DEFAULT_FEATURE_CHANNELS: tuple[str, ...] = ("plm", "style", "emotion")
 
 
 class PipelineError(RuntimeError):
@@ -88,12 +89,15 @@ def _model_dtype(model: FakeNewsDetector) -> str:
 
 @dataclass
 class Pipeline:
-    """A servable bundle: model, vocabulary, tokenizer, encoder and dtype.
+    """A servable bundle: model, vocabulary, tokenizer, encoder, channels, dtype.
 
     Build one with :meth:`from_training` (deriving the registry name and the
     dtype from the model itself), persist it with :meth:`save` and restore it
     with :func:`load_pipeline`.  :meth:`predictor` attaches the raw-text
-    inference front-end.
+    inference front-end.  Every ``plm`` channel must be bound to ``encoder``
+    (same backend fingerprint): serving computes ``plm`` through the
+    pipeline's encoder, so a channel bound elsewhere would be scored on the
+    wrong features.
     """
 
     model_name: str
@@ -108,11 +112,11 @@ class Pipeline:
     max_length: int
     domain_names: list[str]
     dtype: str
-    feature_channels: tuple[str, ...] = DEFAULT_FEATURE_CHANNELS
-    metadata: dict = field(default_factory=dict)
-    #: Resolved :class:`FeatureChannel` objects, or ``None`` for the legacy
-    #: names-only representation (stock channels reconstructed on demand).
+    #: The :class:`FeatureChannel` objects serving recomputes, in order;
+    #: ``None`` means :func:`~repro.encoders.stock_channels` of ``encoder``.
+    #: After ``__post_init__`` this is always a list.
     channels: "list[FeatureChannel] | None" = None
+    metadata: dict = field(default_factory=dict)
     #: Directory this pipeline was loaded from (set by :func:`load_pipeline`;
     #: ``None`` for in-memory pipelines).  ``Predictor.health`` re-verifies
     #: the artifact's checksums through it.
@@ -132,8 +136,18 @@ class Pipeline:
             raise PipelineError(
                 f"model expects {self.model_config.num_domains} domains but only "
                 f"{len(self.domain_names)} domain names were provided")
-        if self.channels is not None:
-            self.feature_channels = tuple(ch.name for ch in self.channels)
+        if self.channels is None:
+            self.channels = stock_channels(self.encoder)
+        for channel in self.channels:
+            if (isinstance(channel, PLMChannel) and channel.backend is not self.encoder
+                    and channel.backend.fingerprint() != self.encoder.fingerprint()):
+                raise PipelineError(
+                    f"plm channel is bound to encoder backend "
+                    f"'{channel.backend.kind}' (fingerprint "
+                    f"{channel.backend.fingerprint()}) but the pipeline serves "
+                    f"'{self.encoder.kind}' (fingerprint "
+                    f"{self.encoder.fingerprint()}); serving would compute plm "
+                    "with the pipeline's encoder — bind the channel to it")
         self.model.eval()
 
     # ------------------------------------------------------------------ #
@@ -144,7 +158,6 @@ class Pipeline:
                       max_length: int = 24,
                       domain_names: list[str] | None = None,
                       model_name: str | None = None,
-                      feature_channels: tuple[str, ...] | None = None,
                       channels: "list[FeatureChannel] | None" = None,
                       metadata: dict | None = None) -> "Pipeline":
         """Bundle a trained detector with its training-time state.
@@ -152,23 +165,18 @@ class Pipeline:
         ``model_name`` defaults to the registry key of the model's class
         (:func:`repro.models.registry_name`), ``dtype`` to the dtype of the
         model's parameters, ``domain_names`` to ``domain_0 .. domain_{n-1}``,
-        ``feature_channels`` to the stock loader channels.  ``max_length``
-        must be the length the training loaders encoded with — serving pads
-        to it, so a mismatch silently shifts probabilities.
+        ``channels`` to :func:`~repro.encoders.stock_channels` of ``encoder``.
+        ``max_length`` must be the length the training loaders encoded with —
+        serving pads to it, so a mismatch silently shifts probabilities.
 
         ``encoder`` may be a bare :class:`FrozenPretrainedEncoder` (wrapped
         into the default ``local`` backend) or any :class:`EncoderBackend`.
-        ``channels`` passes the resolved :class:`FeatureChannel` objects the
-        model trained against (e.g. ``DataBundle.channels``); when given it
-        overrides ``feature_channels`` and lets registered *custom* channels
-        round-trip through the artifact.
+        ``channels`` passes the :class:`FeatureChannel` objects the model
+        trained against (e.g. ``DataBundle.channels``), so registered
+        *custom* channels round-trip through the artifact.
         """
         if domain_names is None:
             domain_names = [f"domain_{i}" for i in range(model.config.num_domains)]
-        if channels is not None:
-            feature_channels = tuple(ch.name for ch in channels)
-        elif feature_channels is None:
-            feature_channels = DEFAULT_FEATURE_CHANNELS
         return cls(
             model_name=model_name or registry_name(model),
             model=model,
@@ -179,66 +187,14 @@ class Pipeline:
             max_length=max_length,
             domain_names=list(domain_names),
             dtype=_model_dtype(model),
-            feature_channels=tuple(feature_channels),
             channels=channels,
             metadata=dict(metadata or {}),
         )
 
     # ------------------------------------------------------------------ #
-    def resolve_channels(self) -> "list[FeatureChannel]":
-        """The channel objects serving must recompute, stock ones on demand.
-
-        Pipelines built (or loaded) with explicit channel objects return
-        them; legacy pipelines carry names only, and every name must then be
-        one of the stock :data:`~repro.encoders.STOCK_CHANNELS` — anything
-        else cannot be recomputed from raw text without its registered spec.
-        """
-        if self.channels is not None:
-            return list(self.channels)
-        from repro.encoders.channels import stock_channels
-
-        stock = {ch.name: ch for ch in stock_channels(self.encoder)}
-        unknown = [name for name in self.feature_channels if name not in stock]
-        if unknown:
-            raise PipelineError(
-                f"pipeline requires feature channels {unknown} that the serving "
-                f"path cannot recompute from raw text; supported: "
-                f"{sorted(stock)}. Custom channels must be exported with their "
-                "specs (register_feature_channel + DataBundle.channels)")
-        return [stock[name] for name in self.feature_channels]
-
-    def _needs_channel_specs(self) -> bool:
-        """Whether the manifest must carry explicit channel specs.
-
-        The legacy names-only representation reconstructs stock channels
-        bound to the pipeline's backend; explicit specs are needed only when
-        a channel is custom, renamed, or a ``plm`` bound to a *different*
-        backend — keeping stock artifacts byte-identical to pre-registry
-        exports.
-        """
-        if self.channels is None:
-            return False
-        for channel in self.channels:
-            if channel.kind not in STOCK_CHANNELS or channel.name != channel.kind:
-                return True
-            if (isinstance(channel, PLMChannel)
-                    and channel.backend.fingerprint() != self.encoder.fingerprint()):
-                return True
-        return False
-
-    # ------------------------------------------------------------------ #
     def manifest(self) -> dict:
-        """The JSON document :func:`save_pipeline` writes as ``manifest.json``.
-
-        The schema is strictly additive over the pre-registry layout: the
-        legacy ``"encoder"`` key still carries the frozen-encoder spec, an
-        ``"encoder_backend"`` key appears only for non-``local`` backends and
-        ``"feature_channel_specs"`` only for non-stock channels — so an
-        artifact exported with the default backend and stock channels is
-        *byte-identical* to one written before backends existed, and legacy
-        manifests load unchanged.
-        """
-        document = {
+        """The JSON document :func:`save_pipeline` writes as ``manifest.json``."""
+        return {
             "format_version": PIPELINE_FORMAT_VERSION,
             "repro_version": __version__,
             "model": {"name": self.model_name, "config": self.model_config.to_dict()},
@@ -246,24 +202,11 @@ class Pipeline:
             "max_length": self.max_length,
             "domain_names": list(self.domain_names),
             "tokenizer": self.tokenizer.to_spec(),
-            "feature_channels": list(self.feature_channels),
+            "encoder_backend": self.encoder.to_spec(),
+            "feature_channels": [channel.to_spec() for channel in self.channels],
             "labels": list(LABEL_NAMES),
             "metadata": self.metadata,
         }
-        encoder_spec = self.encoder.encoder_spec()
-        if encoder_spec is not None:
-            document["encoder"] = encoder_spec
-        if self.encoder.kind != "local":
-            document["encoder_backend"] = self.encoder.to_spec()
-        elif encoder_spec is None:
-            raise PipelineError(
-                f"encoder backend '{self.encoder.kind}' exposes neither an "
-                "underlying encoder spec nor a non-local backend spec; it "
-                "cannot be persisted")
-        if self._needs_channel_specs():
-            document["feature_channel_specs"] = [
-                channel.to_spec() for channel in self.channels]
-        return document
 
     def fingerprint(self) -> str:
         """16-hex content digest of this pipeline (manifest + weight bytes).
@@ -325,9 +268,10 @@ def save_pipeline(pipeline: Pipeline, path: str | os.PathLike) -> str:
 def verify_pipeline(path: str | os.PathLike) -> dict[str, str]:
     """Verify the artifact's recorded checksums; returns ``{file: digest}``.
 
-    Raises :class:`PipelineError` naming every damaged or missing file.
-    Artifacts written before checksums existed (no ``checksums.json``) pass
-    vacuously with an empty mapping.
+    Raises :class:`PipelineError` naming every damaged or missing file.  Every
+    artifact is written with a ``checksums.json`` covering the manifest, the
+    weights and the vocabulary; one without it, or with a sidecar that does
+    not list all three, is refused.
     """
     path = os.fspath(path)
     sidecar = os.path.join(path, CHECKSUMS_FILE)
@@ -336,7 +280,9 @@ def verify_pipeline(path: str | os.PathLike) -> dict[str, str]:
             raise PipelineError(
                 f"no pipeline artifact at '{path}' (missing {MANIFEST_FILE}); "
                 "expected a directory written by repro.serve.save_pipeline")
-        return {}
+        raise PipelineError(
+            f"pipeline at '{path}' has no {CHECKSUMS_FILE}, so it cannot be "
+            "verified; the export did not finish — re-export it")
     try:
         with open(sidecar, "r", encoding="utf-8") as handle:
             recorded = json.load(handle)
@@ -344,6 +290,12 @@ def verify_pipeline(path: str | os.PathLike) -> dict[str, str]:
         raise PipelineError(
             f"pipeline at '{path}' has an unreadable {CHECKSUMS_FILE} "
             f"({error}); the artifact is corrupt — re-export it") from error
+    unlisted = [name for name in (MANIFEST_FILE, WEIGHTS_FILE, VOCAB_FILE)
+                if not isinstance(recorded, dict) or name not in recorded]
+    if unlisted:
+        raise PipelineError(
+            f"pipeline at '{path}' has a {CHECKSUMS_FILE} that does not cover "
+            f"{unlisted}; the artifact cannot be verified — re-export it")
     damaged: list[str] = []
     for name, digest in sorted(recorded.items()):
         target = os.path.join(path, name)
@@ -363,7 +315,6 @@ def export_pipeline(model: FakeNewsDetector, path: str | os.PathLike, *,
                     max_length: int = 24,
                     domain_names: list[str] | None = None,
                     model_name: str | None = None,
-                    feature_channels: tuple[str, ...] | None = None,
                     channels: "list[FeatureChannel] | None" = None,
                     metadata: dict | None = None) -> str:
     """One-call export: bundle a trained model and write the artifact.
@@ -375,8 +326,32 @@ def export_pipeline(model: FakeNewsDetector, path: str | os.PathLike, *,
     pipeline = Pipeline.from_training(
         model, vocab, encoder, tokenizer=tokenizer, max_length=max_length,
         domain_names=domain_names, model_name=model_name,
-        feature_channels=feature_channels, channels=channels, metadata=metadata)
+        channels=channels, metadata=metadata)
     return save_pipeline(pipeline, path)
+
+
+def read_manifest(path: str | os.PathLike) -> dict:
+    """Read an artifact's ``manifest.json`` and check its format version.
+
+    The one manifest reader (:func:`load_pipeline`, ``Server.start`` and
+    ``repro verify`` all use it).  Raises :class:`PipelineError` when the
+    manifest is missing, unreadable or of a format version this build does
+    not read.
+    """
+    path = os.fspath(path)
+    try:
+        manifest = json.loads(_read_artifact_text(os.path.join(path, MANIFEST_FILE)))
+    except (OSError, ValueError) as error:
+        raise PipelineError(
+            f"no readable pipeline manifest at '{path}' ({error}); expected a "
+            "directory written by repro.serve.save_pipeline") from error
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != PIPELINE_FORMAT_VERSION:
+        raise PipelineError(
+            f"pipeline at '{path}' has format version {version!r}, but this "
+            f"build reads only version {PIPELINE_FORMAT_VERSION}; re-export it "
+            "with this build")
+    return manifest
 
 
 def load_pipeline(path: str | os.PathLike) -> Pipeline:
@@ -384,28 +359,12 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
 
     The model is rebuilt with :func:`repro.models.build_model` under the
     pipeline's dtype policy and the saved weights are loaded bit-for-bit, so
-    no training-time state beyond the artifact (and, for custom detectors,
-    the same :func:`repro.models.register_model` call) is needed.
+    no training-time state beyond the artifact (and, for custom detectors or
+    channels, the same registration calls) is needed.
     """
     path = os.fspath(path)
-    manifest_path = os.path.join(path, MANIFEST_FILE)
-    if not os.path.exists(manifest_path):
-        raise PipelineError(
-            f"no pipeline artifact at '{path}' (missing {MANIFEST_FILE}); "
-            "expected a directory written by repro.serve.save_pipeline")
     verify_pipeline(path)
-    try:
-        manifest = json.loads(_read_artifact_text(manifest_path))
-    except ValueError as error:
-        raise PipelineError(
-            f"pipeline at '{path}' has an unreadable {MANIFEST_FILE} "
-            f"({error}); the artifact is corrupt — re-export it") from error
-    version = manifest.get("format_version")
-    if not isinstance(version, int) or version > PIPELINE_FORMAT_VERSION:
-        raise PipelineError(
-            f"pipeline at '{path}' has format version {version!r}, but this build "
-            f"only understands versions <= {PIPELINE_FORMAT_VERSION}")
-
+    manifest = read_manifest(path)
     try:
         vocab = Vocabulary.from_spec(
             json.loads(_read_artifact_text(os.path.join(path, VOCAB_FILE))))
@@ -413,46 +372,21 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
         model_name = manifest["model"]["name"]
         model_config = ModelConfig.from_dict(manifest["model"]["config"])
         dtype = manifest["dtype"]
-    except PipelineError:
-        raise
+        encoder = backend_from_spec(manifest["encoder_backend"])
+        channels = channels_from_specs(manifest["feature_channels"], encoder)
+    except EncoderBackendError as error:
+        raise PipelineError(
+            f"pipeline at '{path}' needs an encoder backend this process "
+            f"cannot build: {error}") from error
+    except FeatureChannelError as error:
+        raise PipelineError(
+            f"pipeline at '{path}' needs a feature channel this process "
+            f"cannot build: {error}") from error
     except (OSError, KeyError, ValueError, TypeError) as error:
         # Missing files, unknown tokenizer kinds, corrupt specs: surface them
         # all as the documented "malformed artifact" error class.
         raise PipelineError(f"pipeline at '{path}' is malformed: {error}") from error
 
-    try:
-        if "encoder_backend" in manifest:
-            encoder = backend_from_spec(manifest["encoder_backend"])
-        elif "encoder" in manifest:
-            # Legacy manifests (and every stock local-backend export) carry
-            # only the frozen-encoder spec; the default backend wraps it.
-            encoder = LocalBackend(
-                FrozenPretrainedEncoder.from_spec(manifest["encoder"]))
-        else:
-            raise PipelineError(
-                f"pipeline at '{path}' is malformed: manifest has neither an "
-                "'encoder' nor an 'encoder_backend' entry")
-    except PipelineError:
-        raise
-    except EncoderBackendError as error:
-        raise PipelineError(
-            f"pipeline at '{path}' needs an encoder backend this process "
-            f"cannot build: {error}") from error
-    except (KeyError, ValueError, TypeError) as error:
-        raise PipelineError(f"pipeline at '{path}' is malformed: {error}") from error
-
-    channels = None
-    if "feature_channel_specs" in manifest:
-        try:
-            channels = channels_from_specs(manifest["feature_channel_specs"],
-                                           backend=encoder)
-        except FeatureChannelError as error:
-            raise PipelineError(
-                f"pipeline at '{path}' needs a feature channel this process "
-                f"cannot build: {error}") from error
-        except (KeyError, ValueError, TypeError) as error:
-            raise PipelineError(
-                f"pipeline at '{path}' is malformed: {error}") from error
     with default_dtype(dtype):
         try:
             model = build_model(model_name, model_config)
@@ -479,10 +413,8 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
         max_length=int(manifest["max_length"]),
         domain_names=list(manifest["domain_names"]),
         dtype=dtype,
-        feature_channels=tuple(manifest.get("feature_channels",
-                                            DEFAULT_FEATURE_CHANNELS)),
-        metadata=dict(manifest.get("metadata", {})),
         channels=channels,
+        metadata=dict(manifest.get("metadata", {})),
         source_path=path,
     )
 

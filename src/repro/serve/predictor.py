@@ -137,11 +137,6 @@ class Predictor:
         if self.encoder_breaker is not None:
             encode = self.encoder_breaker.wrap(encode)
         self._encode_plm = encode
-        # Resolve the channel objects once: pipelines carrying explicit
-        # channels (custom or rebuilt from manifest specs) serve those;
-        # legacy names-only pipelines get the stock channels, and any
-        # unservable name raises PipelineError here, at construction.
-        self._channels = pipeline.resolve_channels()
         pipeline.model.eval()
 
     def reload(self, source: "Pipeline | str") -> str:
@@ -152,8 +147,8 @@ class Predictor:
         verification — a corrupt artifact raises and the predictor keeps
         serving the old weights) or an in-memory :class:`Pipeline`.  The swap
         re-wraps the encoder retry/breaker policies around the new backend
-        and re-resolves the feature channels; the default domain must still
-        exist in the new pipeline.  Domain growth is allowed (continual
+        and serves the new pipeline's feature channels; the default domain
+        must still exist in the new pipeline.  Domain growth is allowed (continual
         onboarding re-exports with more domains); the per-domain served
         counters carry across reloads.
         """
@@ -240,7 +235,7 @@ class Predictor:
         request = ServeRequest(texts, token_ids, mask,
                                encode_plm=self._encode_plm)
         features = {}
-        for channel in self._channels:
+        for channel in pipeline.channels:
             values = np.asarray(channel.serve(request))
             features[channel.name] = values.astype(compute_dtype, copy=False)
         return Batch(

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import multiprocessing
 import os
 import threading
@@ -51,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from queue import Empty
 
-from repro.serve.pipeline import MANIFEST_FILE, PipelineError, verify_pipeline
+from repro.serve.pipeline import read_manifest, verify_pipeline
 from repro.serve.predictor import Prediction
 from repro.serve.stats import ServeStats
 from repro.serve.worker import BatchJob, worker_main
@@ -269,15 +268,7 @@ class Server:
         return self
 
     def _read_manifest(self) -> None:
-        manifest_path = os.path.join(self.artifact_path, MANIFEST_FILE)
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise PipelineError(
-                f"no readable pipeline manifest at '{self.artifact_path}' "
-                f"({error}); expected a directory written by "
-                "repro.serve.save_pipeline") from error
+        manifest = read_manifest(self.artifact_path)
         self.model_name = manifest["model"]["name"]
         self.dtype = manifest["dtype"]
         self.domain_names = list(manifest["domain_names"])
@@ -289,15 +280,12 @@ class Server:
         # fingerprint is the cross-process invariant operators check.
         from repro.encoders.backends import spec_fingerprint
 
-        backend_spec = manifest.get("encoder_backend")
-        if backend_spec is None and "encoder" in manifest:
-            backend_spec = {"kind": "local", "encoder": manifest["encoder"]}
-        if backend_spec is not None:
-            state = {"kind": backend_spec.get("kind"),
-                     "fingerprint": spec_fingerprint(backend_spec)}
-            if self.config.encoder_cache:
-                state["worker_cache"] = "enabled"
-            self.stats.set_encoder_backend(state)
+        backend_spec = manifest["encoder_backend"]
+        state = {"kind": backend_spec.get("kind"),
+                 "fingerprint": spec_fingerprint(backend_spec)}
+        if self.config.encoder_cache:
+            state["worker_cache"] = "enabled"
+        self.stats.set_encoder_backend(state)
 
     def _spawn_locked(self, slot: _WorkerSlot) -> None:
         slot.queue = self._ctx.Queue()

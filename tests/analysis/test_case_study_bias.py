@@ -20,11 +20,11 @@ def probe_items():
 
 class TestCaseStudy:
     def test_rows_structure(self, probe_items, model_config, tiny_vocab, tiny_dataset,
-                            feature_extractors):
+                            tiny_channels):
         models = {"a": build_model("bert", model_config),
                   "b": build_model("textcnn_s", model_config)}
         rows = run_case_study(probe_items, models, tiny_vocab, tiny_dataset.domain_names,
-                              max_length=16, feature_extractors=feature_extractors)
+                              max_length=16, channels=tiny_channels)
         assert len(rows) == len(probe_items)
         for row in rows:
             assert {p.model for p in row.predictions} == {"a", "b"}
@@ -33,19 +33,19 @@ class TestCaseStudy:
                 assert prediction.correct == (prediction.predicted_label == row.true_label)
 
     def test_as_dict(self, probe_items, model_config, tiny_vocab, tiny_dataset,
-                     feature_extractors):
+                     tiny_channels):
         models = {"only": build_model("bert", model_config)}
         rows = run_case_study(probe_items, models, tiny_vocab, tiny_dataset.domain_names,
-                              max_length=16, feature_extractors=feature_extractors)
+                              max_length=16, channels=tiny_channels)
         payload = rows[0].as_dict()
         assert "only" in payload["predictions"]
         assert payload["domain"] in tiny_dataset.domain_names
 
     def test_summary_aggregates(self, probe_items, model_config, tiny_vocab, tiny_dataset,
-                                feature_extractors):
+                                tiny_channels):
         models = {"m": build_model("textcnn_s", model_config)}
         rows = run_case_study(probe_items, models, tiny_vocab, tiny_dataset.domain_names,
-                              max_length=16, feature_extractors=feature_extractors)
+                              max_length=16, channels=tiny_channels)
         summary = case_study_summary(rows)
         assert set(summary) == {"m"}
         assert 0.0 <= summary["m"]["accuracy"] <= 1.0

@@ -12,11 +12,7 @@ from repro.data import (
     make_weibo21_like,
     stratified_split,
 )
-from repro.encoders import (
-    FrozenPretrainedEncoder,
-    emotion_feature_extractor,
-    style_feature_extractor,
-)
+from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
 from repro.models import ModelConfig
 
 
@@ -47,32 +43,29 @@ def tiny_encoder(tiny_vocab):
 
 
 @pytest.fixture(scope="session")
-def feature_extractors(tiny_encoder):
-    return {
-        "plm": tiny_encoder.as_feature_extractor(),
-        "style": style_feature_extractor,
-        "emotion": emotion_feature_extractor,
-    }
+def tiny_channels(tiny_encoder):
+    """The stock ``plm`` / ``style`` / ``emotion`` channels over ``tiny_encoder``."""
+    return stock_channels(LocalBackend(tiny_encoder))
 
 
-def _loader(split, vocab, extractors, shuffle):
+def _loader(split, vocab, channels, shuffle):
     return DataLoader(split, vocab, max_length=16, batch_size=16, shuffle=shuffle,
-                      seed=0, feature_extractors=extractors)
+                      seed=0, channels=channels)
 
 
 @pytest.fixture(scope="session")
-def train_loader(tiny_splits, tiny_vocab, feature_extractors):
-    return _loader(tiny_splits.train, tiny_vocab, feature_extractors, shuffle=True)
+def train_loader(tiny_splits, tiny_vocab, tiny_channels):
+    return _loader(tiny_splits.train, tiny_vocab, tiny_channels, shuffle=True)
 
 
 @pytest.fixture(scope="session")
-def val_loader(tiny_splits, tiny_vocab, feature_extractors):
-    return _loader(tiny_splits.val, tiny_vocab, feature_extractors, shuffle=False)
+def val_loader(tiny_splits, tiny_vocab, tiny_channels):
+    return _loader(tiny_splits.val, tiny_vocab, tiny_channels, shuffle=False)
 
 
 @pytest.fixture(scope="session")
-def test_loader(tiny_splits, tiny_vocab, feature_extractors):
-    return _loader(tiny_splits.test, tiny_vocab, feature_extractors, shuffle=False)
+def test_loader(tiny_splits, tiny_vocab, tiny_channels):
+    return _loader(tiny_splits.test, tiny_vocab, tiny_channels, shuffle=False)
 
 
 @pytest.fixture(scope="session")

@@ -248,20 +248,20 @@ class TestTeacherCache:
         with pytest.raises(IndexError, match="different loader"):
             cache.lookup(batch)
 
-    def _private_loader(self, tiny_splits, tiny_vocab, feature_extractors):
+    def _private_loader(self, tiny_splits, tiny_vocab, tiny_channels):
         """A loader this test may mutate without corrupting shared fixtures."""
         from repro.data import DataLoader
 
         return DataLoader(tiny_splits.train, tiny_vocab, max_length=16,
                           batch_size=16, shuffle=False, seed=0,
-                          feature_extractors=feature_extractors)
+                          channels=tiny_channels)
 
     def test_partial_invalidate_recomputes_only_touched_windows(
-            self, frozen_teacher, tiny_splits, tiny_vocab, feature_extractors):
+            self, frozen_teacher, tiny_splits, tiny_vocab, tiny_channels):
         """Window-level invalidation: touched windows re-forward against the
         mutated rows, untouched windows keep serving their original arrays
         bit-identically (they are never rewritten)."""
-        loader = self._private_loader(tiny_splits, tiny_vocab, feature_extractors)
+        loader = self._private_loader(tiny_splits, tiny_vocab, tiny_channels)
         cache = TeacherCache(frozen_teacher, loader)
         window = cache.window_size
         first = loader.window(0, window)
@@ -293,8 +293,8 @@ class TestTeacherCache:
         assert cache.recomputed_windows == 1  # window 1 was never re-forwarded
 
     def test_partial_invalidate_tail_rows_use_overlapping_window(
-            self, frozen_teacher, tiny_splits, tiny_vocab, feature_extractors):
-        loader = self._private_loader(tiny_splits, tiny_vocab, feature_extractors)
+            self, frozen_teacher, tiny_splits, tiny_vocab, tiny_channels):
+        loader = self._private_loader(tiny_splits, tiny_vocab, tiny_channels)
         cache = TeacherCache(frozen_teacher, loader)
         total = loader.num_samples
         window = cache.window_size
@@ -312,8 +312,8 @@ class TestTeacherCache:
         np.testing.assert_array_equal(after.numpy(), before)
 
     def test_partial_invalidate_edge_cases(self, frozen_teacher, tiny_splits,
-                                           tiny_vocab, feature_extractors):
-        loader = self._private_loader(tiny_splits, tiny_vocab, feature_extractors)
+                                           tiny_vocab, tiny_channels):
+        loader = self._private_loader(tiny_splits, tiny_vocab, tiny_channels)
         cache = TeacherCache(frozen_teacher, loader)
         # Before materialisation a row-level invalidate is a no-op: the first
         # lookup computes everything fresh anyway.

@@ -14,11 +14,7 @@ from repro.core import (
     train_unbiased_teacher,
 )
 from repro.data import DataLoader, make_weibo21_like, stratified_split
-from repro.encoders import (
-    FrozenPretrainedEncoder,
-    emotion_feature_extractor,
-    style_feature_extractor,
-)
+from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
 from repro.models import ModelConfig, build_model
 from repro.tensor import default_dtype
 from repro.utils import set_global_seed
@@ -165,15 +161,13 @@ class TestTeacherCacheEquivalence:
                                       val_fraction=0.1, seed=0)
             vocab = splits.train.build_vocabulary()
             encoder = FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3)
-            extractors = {"plm": encoder.as_feature_extractor(),
-                          "style": style_feature_extractor,
-                          "emotion": emotion_feature_extractor}
+            channels = stock_channels(LocalBackend(encoder))
             train_loader = DataLoader(splits.train, vocab, max_length=16,
                                       batch_size=16, shuffle=True, seed=0,
-                                      feature_extractors=extractors)
+                                      channels=channels)
             val_loader = DataLoader(splits.val, vocab, max_length=16,
                                     batch_size=16, shuffle=False, seed=0,
-                                    feature_extractors=extractors)
+                                    channels=channels)
             config = ModelConfig(plm_dim=16, num_domains=dataset.num_domains,
                                  cnn_channels=8, kernel_sizes=(1, 2, 3),
                                  rnn_hidden=8, hidden_dim=16, mlp_hidden=(16,),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import DataLoader
+from repro.encoders import StyleChannel
 
 
 class TestDataLoader:
@@ -37,9 +38,9 @@ class TestDataLoader:
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, np.arange(len(test_loader.dataset)))
 
-    def test_shuffle_changes_order_between_epochs(self, tiny_splits, tiny_vocab, feature_extractors):
+    def test_shuffle_changes_order_between_epochs(self, tiny_splits, tiny_vocab, tiny_channels):
         loader = DataLoader(tiny_splits.train, tiny_vocab, max_length=16, batch_size=16,
-                            shuffle=True, seed=1, feature_extractors=feature_extractors)
+                            shuffle=True, seed=1, channels=tiny_channels)
         first = np.concatenate([b.indices for b in loader])
         second = np.concatenate([b.indices for b in loader])
         assert not np.array_equal(first, second)
@@ -58,9 +59,10 @@ class TestDataLoader:
         with pytest.raises(ValueError):
             DataLoader(tiny_splits.train, tiny_vocab, batch_size=0)
 
-    def test_bad_feature_extractor_shape_rejected(self, tiny_splits, tiny_vocab):
-        def broken(items, token_ids, mask):
-            return np.zeros((3, 2))
+    def test_bad_channel_shape_rejected(self, tiny_splits, tiny_vocab):
+        class BrokenChannel(StyleChannel):
+            def extract(self, items, token_ids, mask):
+                return np.zeros((3, 2))
 
-        with pytest.raises(ValueError):
-            DataLoader(tiny_splits.train, tiny_vocab, feature_extractors={"broken": broken})
+        with pytest.raises(ValueError, match="returned 3 rows"):
+            DataLoader(tiny_splits.train, tiny_vocab, channels=[BrokenChannel()])

@@ -74,9 +74,6 @@ class TestLocalBackend:
         np.testing.assert_array_equal(rebuilt.encode(token_ids, mask),
                                       backend.encode(token_ids, mask))
 
-    def test_encoder_spec_is_legacy_manifest_spec(self, encoder):
-        assert LocalBackend(encoder).encoder_spec() == encoder.to_spec()
-
     def test_state_reports_kind_and_fingerprint(self, encoder):
         backend = LocalBackend(encoder)
         state = backend.state()

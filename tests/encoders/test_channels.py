@@ -1,16 +1,16 @@
 """Feature-channel registry: one abstraction from loader to serving request.
 
-The stock channels must compute exactly what the legacy hard-wired
-extractors computed (bit-for-bit, or the committed training tables would
-shift), the registry must round-trip channel specs, and ``DataLoader`` must
-accept channels — as instances or manifest spec dicts — interchangeably with
-legacy ``feature_extractors``.
+The stock channels must compute exactly what direct calls to the frozen
+encoder and the batched style/emotion features compute (bit-for-bit, or the
+committed training tables would shift), the registry must round-trip channel
+specs, and ``DataLoader`` must accept channels as instances or spec dicts.
 """
 
 import numpy as np
 import pytest
 
 from repro.data import DataLoader
+from repro.data.dataset import default_token_lists
 from repro.encoders import (
     FEATURE_CHANNELS,
     EmotionChannel,
@@ -24,12 +24,11 @@ from repro.encoders import (
     available_feature_channels,
     build_feature_channel,
     channels_from_specs,
-    emotion_feature_extractor,
     register_feature_channel,
     stock_channels,
-    style_feature_extractor,
 )
 from repro.encoders.channels import STOCK_CHANNELS
+from repro.encoders.features import emotion_features_batch, style_features_batch
 
 
 @pytest.fixture(scope="module")
@@ -44,21 +43,22 @@ class TestStockChannels:
         assert [channel.name for channel in channels] == list(STOCK_CHANNELS)
         assert STOCK_CHANNELS == ("plm", "style", "emotion")
 
-    def test_extract_matches_legacy_extractors_bitwise(self, backend, tiny_splits,
-                                                       tiny_vocab):
-        """The loader path must produce the pre-registry arrays exactly."""
+    def test_extract_matches_direct_feature_calls_bitwise(self, backend, tiny_splits,
+                                                          tiny_vocab):
+        """The loader path must produce the directly computed arrays exactly."""
         items = tiny_splits.val.items
         token_ids, mask = tiny_splits.val.encode(tiny_vocab, max_length=12)
+        token_lists = default_token_lists([item.text for item in items])
         plm, style, emotion = stock_channels(backend)
         np.testing.assert_array_equal(
             plm.extract(items, token_ids, mask),
             backend.encode(token_ids, mask))
         np.testing.assert_array_equal(
             style.extract(items, token_ids, mask),
-            style_feature_extractor(items, token_ids, mask))
+            style_features_batch(token_lists))
         np.testing.assert_array_equal(
             emotion.extract(items, token_ids, mask),
-            emotion_feature_extractor(items, token_ids, mask))
+            emotion_features_batch(token_lists))
 
     def test_serve_matches_extract_for_token_channels(self, backend, tiny_splits,
                                                       tiny_vocab):
@@ -94,10 +94,16 @@ class TestChannelRegistry:
         assert set(available_feature_channels()) >= {"plm", "style", "emotion"}
 
     def test_spec_round_trip(self, backend):
-        for channel in stock_channels(backend):
-            rebuilt = build_feature_channel(channel.to_spec())
-            assert type(rebuilt) is type(channel)
-            assert rebuilt.fingerprint() == channel.fingerprint()
+        channels = stock_channels(backend)
+        rebuilt = channels_from_specs([ch.to_spec() for ch in channels], backend)
+        assert [type(ch) for ch in rebuilt] == [type(ch) for ch in channels]
+        assert [ch.to_spec() for ch in rebuilt] == [ch.to_spec() for ch in channels]
+
+    def test_plm_spec_names_no_backend(self, backend):
+        """The manifest stores the backend once; a plm spec only binds to it."""
+        assert PLMChannel(backend).to_spec() == {"kind": "plm"}
+        with pytest.raises(FeatureChannelError, match="binds to the pipeline"):
+            build_feature_channel({"kind": "plm"})
 
     def test_unknown_kind_names_the_register_call(self):
         with pytest.raises(FeatureChannelError, match="register_feature_channel"):
@@ -119,15 +125,6 @@ class TestChannelRegistry:
         specs = [channel.to_spec() for channel in stock_channels(backend)]
         channels = channels_from_specs(specs, backend=backend)
         assert channels[0].backend is backend
-
-    def test_plm_keeps_its_own_backend_on_fingerprint_mismatch(self, backend,
-                                                               tiny_vocab):
-        other = LocalBackend(FrozenPretrainedEncoder(len(tiny_vocab),
-                                                     output_dim=16, seed=99))
-        specs = [PLMChannel(other).to_spec()]
-        channels = channels_from_specs(specs, backend=backend)
-        assert channels[0].backend is not backend
-        assert channels[0].backend.fingerprint() == other.fingerprint()
 
     def test_custom_channel_registration(self):
         class LengthChannel(FeatureChannel):
@@ -159,37 +156,37 @@ class TestChannelRegistry:
 
 
 class TestLoaderChannels:
-    def test_channels_match_legacy_extractors_bitwise(self, tiny_splits, tiny_vocab,
-                                                      feature_extractors, backend):
-        legacy = DataLoader(tiny_splits.val, tiny_vocab, max_length=16,
+    def test_channels_match_direct_feature_calls_bitwise(self, tiny_splits,
+                                                         tiny_vocab, backend):
+        loader = DataLoader(tiny_splits.val, tiny_vocab, max_length=16,
                             batch_size=16, shuffle=False, seed=0,
-                            feature_extractors=feature_extractors)
-        channelled = DataLoader(tiny_splits.val, tiny_vocab, max_length=16,
-                                batch_size=16, shuffle=False, seed=0,
-                                channels=stock_channels(backend))
-        assert set(channelled.features) == set(legacy.features)
-        for name in legacy.features:
-            np.testing.assert_array_equal(channelled.features[name],
-                                          legacy.features[name])
+                            channels=stock_channels(backend))
+        token_lists = default_token_lists(
+            [item.text for item in tiny_splits.val.items])
+        expected = {
+            "plm": backend.encode(loader.token_ids, loader.mask),
+            "style": style_features_batch(token_lists),
+            "emotion": emotion_features_batch(token_lists),
+        }
+        assert list(loader.features) == list(expected)
+        for name, values in expected.items():
+            np.testing.assert_array_equal(loader.features[name], values)
 
     def test_spec_dict_entries_resolved_through_registry(self, tiny_splits,
                                                          tiny_vocab, backend):
         loader = DataLoader(tiny_splits.val, tiny_vocab, max_length=16,
                             batch_size=16, shuffle=False, seed=0,
-                            channels=[PLMChannel(backend).to_spec(),
-                                      {"kind": "style"}])
+                            channels=[PLMChannel(backend), {"kind": "style"}])
         assert set(loader.features) == {"plm", "style"}
         np.testing.assert_array_equal(
             loader.features["plm"],
             backend.encode(loader.token_ids, loader.mask))
-
-    def test_duplicate_channel_and_extractor_name_rejected(self, tiny_splits,
-                                                           tiny_vocab, backend):
-        with pytest.raises(ValueError, match="both"):
+        np.testing.assert_array_equal(
+            loader.features["style"],
+            StyleChannel().extract(tiny_splits.val.items, None, None))
+        with pytest.raises(FeatureChannelError, match="binds to the pipeline"):
             DataLoader(tiny_splits.val, tiny_vocab, max_length=16, batch_size=16,
-                       shuffle=False, seed=0,
-                       feature_extractors={"style": style_feature_extractor},
-                       channels=[StyleChannel()])
+                       shuffle=False, seed=0, channels=[{"kind": "plm"}])
 
     def test_invalid_channel_entry_rejected(self, tiny_splits, tiny_vocab):
         with pytest.raises(TypeError, match="FeatureChannel"):

@@ -1,4 +1,4 @@
-"""Frozen pre-trained encoder stand-in and handcrafted feature extractors."""
+"""Frozen pre-trained encoder stand-in and handcrafted style/emotion features."""
 
 import numpy as np
 import pytest
@@ -55,14 +55,6 @@ class TestFrozenPretrainedEncoder:
         contextual = FrozenPretrainedEncoder(30, output_dim=8, context_window=2, seed=0)
         ids = np.array([[1, 2, 3, 4]])
         assert not np.allclose(plain.encode(ids), contextual.encode(ids))
-
-    def test_feature_extractor_adapters(self, tiny_splits, tiny_vocab):
-        encoder = FrozenPretrainedEncoder(len(tiny_vocab), output_dim=8, seed=0)
-        token_ids, mask = tiny_splits.val.encode(tiny_vocab, max_length=10)
-        seq = encoder.as_feature_extractor()(tiny_splits.val.items, token_ids, mask)
-        pooled = encoder.as_pooled_feature_extractor()(tiny_splits.val.items, token_ids, mask)
-        assert seq.shape == (len(tiny_splits.val), 10, 8)
-        assert pooled.shape == (len(tiny_splits.val), 8)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
@@ -131,15 +123,15 @@ class TestBatchedFeatureParity:
             np.testing.assert_array_equal(style_rows[row], style_features(tokens))
             np.testing.assert_array_equal(emotion_rows[row], emotion_features(tokens))
 
-    def test_extractors_use_batch_path(self):
+    def test_channels_use_batch_path(self):
         from repro.data import NewsItem
-        from repro.encoders import emotion_feature_extractor, style_feature_extractor
+        from repro.encoders import EmotionChannel, StyleChannel
 
         items = [NewsItem(text="style_formal1 common3 emo_arousal2", label=0,
                           domain=0, domain_name="d"),
                  NewsItem(text="", label=0, domain=0, domain_name="d")]
-        style = style_feature_extractor(items, None, None)
-        emotion = emotion_feature_extractor(items, None, None)
+        style = StyleChannel().extract(items, None, None)
+        emotion = EmotionChannel().extract(items, None, None)
         assert style.shape == (2, 6) and emotion.shape == (2, 5)
         np.testing.assert_array_equal(style[0],
                                       style_features(items[0].text.split()))

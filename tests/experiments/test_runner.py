@@ -35,7 +35,8 @@ def bundle(config):
 class TestPrepareData:
     def test_bundle_structure(self, bundle, config):
         assert bundle.num_domains == 9
-        assert set(bundle.feature_extractors) == {"plm", "style", "emotion"}
+        assert [channel.name for channel in bundle.channels] == ["plm", "style", "emotion"]
+        assert set(bundle.train_loader.features) == {"plm", "style", "emotion"}
         assert len(bundle.splits.train) > len(bundle.splits.val)
         assert bundle.model_config().plm_dim == config.plm_dim
 

@@ -4,7 +4,7 @@ The session-scoped loaders in the repository conftest carry live RNG state
 (shuffle streams) that resume tests consume and restore, so nothing here may
 mutate them.  Instead every reliability test gets a factory that builds a
 fresh, fully self-contained training world — dataset, vocabulary, encoder,
-extractors, loaders — under the *currently active* engine dtype, which is how
+feature channels, loaders — under the *currently active* engine dtype, which is how
 the kill-and-resume tests pin bit-identity in both ``REPRO_DTYPE`` modes.
 """
 
@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.data import DataLoader, MultiDomainNewsDataset, make_weibo21_like, stratified_split
-from repro.encoders import (
-    FrozenPretrainedEncoder,
-    emotion_feature_extractor,
-    style_feature_extractor,
-)
+from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
 from repro.models import ModelConfig, build_model
 from repro.reliability import active_plan
 from repro.serve import Pipeline, save_pipeline
@@ -47,16 +43,16 @@ class TrainingWorld:
     splits: object
     vocab: dict
     encoder: FrozenPretrainedEncoder
-    extractors: dict
+    channels: list
     config: ModelConfig
 
     def loaders(self, batch_size: int = 16):
         train = DataLoader(self.splits.train, self.vocab, max_length=16,
                            batch_size=batch_size, shuffle=True, seed=0,
-                           feature_extractors=self.extractors)
+                           channels=self.channels)
         val = DataLoader(self.splits.val, self.vocab, max_length=16,
                          batch_size=batch_size, shuffle=False, seed=0,
-                         feature_extractors=self.extractors)
+                         channels=self.channels)
         return train, val
 
 
@@ -69,15 +65,13 @@ def make_world():
         splits = stratified_split(dataset, train_fraction=0.6, val_fraction=0.1, seed=0)
         vocab = splits.train.build_vocabulary()
         encoder = FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3)
-        extractors = {"plm": encoder.as_feature_extractor(),
-                      "style": style_feature_extractor,
-                      "emotion": emotion_feature_extractor}
+        channels = stock_channels(LocalBackend(encoder))
         config = ModelConfig(plm_dim=16, num_domains=dataset.num_domains,
                              cnn_channels=8, kernel_sizes=(1, 2, 3), rnn_hidden=8,
                              hidden_dim=16, mlp_hidden=(16,), num_experts=3,
                              expert_hidden=12, domain_embedding_dim=6, seed=5)
         return TrainingWorld(dataset=dataset, splits=splits, vocab=vocab,
-                             encoder=encoder, extractors=extractors, config=config)
+                             encoder=encoder, channels=channels, config=config)
 
     return build
 

@@ -111,6 +111,10 @@ class TestVerifySubcommand:
         ok_lines = [line for line in out.splitlines() if line.startswith("  ok")]
         assert len(ok_lines) >= 3  # manifest, weights, vocab at minimum
         assert all("sha256=" in line for line in ok_lines)
+        # The backend line reads the v2 manifest: kind, fingerprint and the
+        # channel names taken from the channel specs.
+        assert "encoder backend kind=local" in out
+        assert "channels=plm,style,emotion" in out
 
     def test_corrupt_file_is_named_with_both_digests(self, artifact, capsys):
         _flip_byte(os.path.join(artifact, "weights.npz"))
@@ -139,13 +143,12 @@ class TestVerifySubcommand:
         assert code == 2
         assert "no pipeline artifact" in err
 
-    def test_legacy_artifact_without_checksums_passes_with_note(
-            self, artifact, capsys):
+    def test_artifact_without_checksums_is_refused(self, artifact, capsys):
         os.remove(os.path.join(artifact, "checksums.json"))
         code = cli.main(["verify", "--pipeline", artifact])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "legacy artifact" in out
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "records no checksums" in err and "re-export" in err
 
     def test_unreadable_checksums_file(self, artifact, capsys):
         with open(os.path.join(artifact, "checksums.json"), "w") as handle:

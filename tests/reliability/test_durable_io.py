@@ -132,11 +132,22 @@ class TestPipelineCorruption:
         with pytest.raises(PipelineError):
             load_pipeline(artifact)
 
-    def test_legacy_artifact_without_sidecar_still_loads(self, artifact):
+    def test_artifact_without_sidecar_is_refused(self, artifact):
         os.unlink(os.path.join(artifact, CHECKSUMS_FILE))
-        assert verify_pipeline(artifact) == {}
-        pipeline = load_pipeline(artifact)
-        assert pipeline.source_path == artifact
+        with pytest.raises(PipelineError, match="no checksums.json.*re-export"):
+            verify_pipeline(artifact)
+        with pytest.raises(PipelineError, match="no checksums.json"):
+            load_pipeline(artifact)
+
+    def test_sidecar_not_covering_every_file_is_refused(self, artifact):
+        sidecar = os.path.join(artifact, CHECKSUMS_FILE)
+        with open(sidecar) as handle:
+            recorded = json.load(handle)
+        del recorded[WEIGHTS_FILE]
+        with open(sidecar, "w") as handle:
+            json.dump(recorded, handle)
+        with pytest.raises(PipelineError, match="does not cover.*weights.npz"):
+            load_pipeline(artifact)
 
     def test_missing_artifact_directory(self, tmp_path):
         with pytest.raises(PipelineError, match="no pipeline artifact"):

@@ -92,7 +92,7 @@ class TestMicroBatcherDegradation:
             with predictor.microbatch(max_batch=BATCH, max_latency_ms=1e9) as queue:
                 tickets = [queue.submit(text) for text in texts]
         assert all(ticket.done for ticket in tickets)
-        assert queue.items_errored == 1
+        assert queue.stats.failed == 1
         for index, ticket in enumerate(tickets):
             if index == poison_index:
                 assert not ticket.result.ok

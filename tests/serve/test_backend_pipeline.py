@@ -1,17 +1,16 @@
 """Encoder backends and feature channels through the pipeline artifact.
 
-The tentpole contract of the backend registry, end to end:
+The contract of the backend and channel registries, end to end:
 
-* stock local-backend exports are *byte-compatible* with pre-registry
-  artifacts (no new manifest keys, legacy manifests load unchanged);
-* non-local backends persist under the additive ``encoder_backend`` key and
-  reload bit-identically (their math wraps the same frozen encoder);
+* a format-version-2 manifest holds exactly one encoder entry
+  (``encoder_backend``) and one channel list (``feature_channels`` specs);
+* non-local backends persist there and reload bit-identically (their math
+  wraps the same frozen encoder);
 * a custom detector consuming a custom registered channel exports, reloads
   in a *fresh process* and reproduces its probabilities bit-for-bit in both
   engine dtypes;
-* failure modes (unregistered backend/channel kinds, custom channels
-  exported without specs) surface as readable :class:`PipelineError`\\ s
-  naming the registration call.
+* failure modes (unregistered backend/channel kinds, a ``plm`` channel bound
+  to another backend) surface as readable :class:`PipelineError`\\ s.
 """
 
 import json
@@ -27,6 +26,7 @@ import backend_roundtrip_helper as helper
 from repro.encoders import (
     CachedBackend,
     EmotionChannel,
+    FrozenPretrainedEncoder,
     LocalBackend,
     PLMChannel,
     RemoteBackend,
@@ -48,11 +48,11 @@ DTYPES = ("float64", "float32")
 SRC_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-#: manifest keys of a pre-registry (PR-5-era) stock export — the byte-
-#: compatibility contract is that stock local exports add nothing to these.
-LEGACY_MANIFEST_KEYS = {
-    "domain_names", "dtype", "encoder", "feature_channels", "format_version",
-    "labels", "max_length", "metadata", "model", "repro_version", "tokenizer",
+#: every key of a format-version-2 manifest
+MANIFEST_KEYS = {
+    "domain_names", "dtype", "encoder_backend", "feature_channels",
+    "format_version", "labels", "max_length", "metadata", "model",
+    "repro_version", "tokenizer",
 }
 
 
@@ -82,60 +82,34 @@ def _stock_pipeline(model_config, tiny_vocab, encoder, tiny_dataset, dtype,
                                   domain_names=tiny_dataset.domain_names)
 
 
-class TestManifestCompatibility:
-    def test_stock_local_export_adds_no_manifest_keys(self, model_config,
-                                                      tiny_vocab, tiny_encoder,
-                                                      tiny_dataset, tmp_path):
+class TestManifestV2:
+    def test_one_encoder_entry_and_one_channel_list(self, model_config,
+                                                    tiny_vocab, tiny_encoder,
+                                                    tiny_dataset, tmp_path):
         pipeline = _stock_pipeline(model_config, tiny_vocab, tiny_encoder,
                                    tiny_dataset, "float64")
-        path = save_pipeline(pipeline, tmp_path / "artifact")
-        assert set(_read_manifest(path)) == LEGACY_MANIFEST_KEYS
+        manifest = _read_manifest(save_pipeline(pipeline, tmp_path / "artifact"))
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["encoder_backend"] == LocalBackend(tiny_encoder).to_spec()
+        assert manifest["feature_channels"] == [
+            {"kind": "plm"}, {"kind": "style"}, {"kind": "emotion"}]
 
-    def test_explicit_stock_channels_add_no_manifest_keys(self, model_config,
-                                                          tiny_vocab, tiny_encoder,
-                                                          tiny_dataset, tmp_path):
-        """Passing resolved stock channel objects (the new training path)
-        must not change the artifact either."""
+    def test_explicit_stock_channels_match_the_default(self, model_config,
+                                                       tiny_vocab, tiny_encoder,
+                                                       tiny_dataset):
+        """Passing the stock channel objects (the training path) writes the
+        same manifest as letting the pipeline default them."""
         backend = LocalBackend(tiny_encoder)
         with default_dtype("float64"):
             model = build_model("textcnn_s", model_config)
-        pipeline = Pipeline.from_training(
+        explicit = Pipeline.from_training(
             model, tiny_vocab, backend, max_length=16,
             domain_names=tiny_dataset.domain_names,
             channels=[PLMChannel(backend), StyleChannel(), EmotionChannel()])
-        path = save_pipeline(pipeline, tmp_path / "artifact")
-        assert set(_read_manifest(path)) == LEGACY_MANIFEST_KEYS
-
-    def test_legacy_manifest_without_backend_keys_loads(self, model_config,
-                                                        tiny_vocab, tiny_encoder,
-                                                        tiny_dataset, probe_texts,
-                                                        tmp_path):
-        """An artifact stripped back to the legacy schema loads through the
-        local-backend fallback and predicts identically."""
-        texts, domains = probe_texts
-        pipeline = _stock_pipeline(model_config, tiny_vocab,
-                                   CachedBackend.from_encoder(tiny_encoder),
-                                   tiny_dataset, "float64")
-        expected = pipeline.predictor().predict_proba(texts, domains=domains)
-        path = save_pipeline(pipeline, tmp_path / "artifact")
-        manifest = _read_manifest(path)
-        assert manifest["encoder_backend"]["kind"] == "cached"
-        del manifest["encoder_backend"]  # what a pre-registry writer produced
-        from repro.reliability import sha256_file
-
-        manifest_path = os.path.join(path, MANIFEST_FILE)
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        with open(os.path.join(path, "checksums.json")) as handle:
-            checksums = json.load(handle)
-        checksums[MANIFEST_FILE] = sha256_file(manifest_path)
-        with open(os.path.join(path, "checksums.json"), "w") as handle:
-            json.dump(checksums, handle)
-
-        loaded = load_pipeline(path)
-        assert loaded.encoder.kind == "local"
-        np.testing.assert_array_equal(
-            loaded.predictor().predict_proba(texts, domains=domains), expected)
+        default = Pipeline.from_training(
+            model, tiny_vocab, backend, max_length=16,
+            domain_names=tiny_dataset.domain_names)
+        assert explicit.manifest() == default.manifest()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -158,7 +132,7 @@ class TestNonLocalBackendRoundTrip:
         manifest = _read_manifest(path)
         assert manifest["encoder_backend"]["kind"] == "cached"
         assert manifest["encoder_backend"]["max_entries"] == 64
-        assert "encoder" in manifest  # legacy key still written
+        assert "encoder" not in manifest  # one encoder entry only
         loaded = load_pipeline(path)
         assert isinstance(loaded.encoder, CachedBackend)
         assert loaded.encoder.fingerprint() == backend.fingerprint()
@@ -203,9 +177,8 @@ class TestCustomChannelRoundTrip:
                                          tiny_dataset, dtype)
         path = save_pipeline(pipeline, tmp_path / "artifact")
         manifest = _read_manifest(path)
-        assert manifest["feature_channels"] == ["plm", helper.CHANNEL_KIND]
-        kinds = [spec["kind"] for spec in manifest["feature_channel_specs"]]
-        assert kinds == ["plm", helper.CHANNEL_KIND]
+        assert manifest["feature_channels"] == [
+            {"kind": "plm"}, {"kind": helper.CHANNEL_KIND}]
 
     def test_same_process_round_trip(self, dtype, model_config, tiny_vocab,
                                      tiny_encoder, tiny_dataset, probe_texts,
@@ -216,7 +189,7 @@ class TestCustomChannelRoundTrip:
         expected = pipeline.predictor().predict_proba(texts, domains=domains)
         assert expected.dtype == np.dtype(dtype)
         loaded = load_pipeline(save_pipeline(pipeline, tmp_path / "artifact"))
-        assert loaded.feature_channels == ("plm", helper.CHANNEL_KIND)
+        assert [ch.name for ch in loaded.channels] == ["plm", helper.CHANNEL_KIND]
         # The reloaded plm channel shares the pipeline's backend instance.
         assert loaded.channels[0].backend is loaded.encoder
         np.testing.assert_array_equal(
@@ -290,18 +263,32 @@ class TestFailureModes:
         finally:
             FEATURE_CHANNELS[helper.CHANNEL_KIND] = saved
 
-    def test_custom_channel_name_without_specs_fails_readably(
+    def test_plm_channel_on_another_backend_refused(
             self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
-        """A names-only pipeline can only recompute stock channels; anything
-        else must fail at predictor construction, not mid-request."""
+        """Serving computes plm with the pipeline's encoder, so a plm channel
+        bound to a different backend would score the model on the wrong
+        features; the pipeline refuses it at construction."""
+        other = LocalBackend(FrozenPretrainedEncoder(len(tiny_vocab),
+                                                     output_dim=16, seed=99))
+        assert other.fingerprint() != LocalBackend(tiny_encoder).fingerprint()
+        with default_dtype("float64"):
+            model = build_model("textcnn_s", model_config)
+        with pytest.raises(PipelineError, match="plm channel is bound"):
+            Pipeline.from_training(
+                model, tiny_vocab, tiny_encoder, max_length=16,
+                domain_names=tiny_dataset.domain_names,
+                channels=[PLMChannel(other), StyleChannel(), EmotionChannel()])
+
+    def test_plm_channel_on_an_equal_backend_accepted(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        """A separate backend instance with the same spec is the same encoder."""
         with default_dtype("float64"):
             model = build_model("textcnn_s", model_config)
         pipeline = Pipeline.from_training(
             model, tiny_vocab, tiny_encoder, max_length=16,
             domain_names=tiny_dataset.domain_names,
-            feature_channels=("plm", "style", "mystery_channel"))
-        with pytest.raises(PipelineError, match="cannot recompute"):
-            pipeline.predictor()
+            channels=[PLMChannel(LocalBackend(tiny_encoder))])
+        assert [ch.name for ch in pipeline.channels] == ["plm"]
 
 
 class TestBackendHealthReporting:

@@ -87,23 +87,28 @@ def _pipeline_for(model, tiny_vocab, tiny_encoder, tiny_dataset):
                                   domain_names=tiny_dataset.domain_names)
 
 
-def _rewrite_manifest(path, mutate):
-    """Edit the manifest as a (hypothetical) different exporter would: the
-    spec changes but the checksum sidecar stays consistent with the bytes."""
+def _reseal(path, name):
+    """Record ``name``'s current bytes in the checksum sidecar, as a
+    (hypothetical) different exporter would have written them."""
     from repro.reliability import sha256_file
 
+    checksums_path = os.path.join(path, CHECKSUMS_FILE)
+    with open(checksums_path) as handle:
+        checksums = json.load(handle)
+    checksums[name] = sha256_file(os.path.join(path, name))
+    with open(checksums_path, "w") as handle:
+        json.dump(checksums, handle)
+
+
+def _rewrite_manifest(path, mutate):
+    """Edit the manifest; the checksum sidecar stays consistent with the bytes."""
     manifest_path = os.path.join(path, MANIFEST_FILE)
     with open(manifest_path) as handle:
         manifest = json.load(handle)
     mutate(manifest)
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle)
-    checksums_path = os.path.join(path, CHECKSUMS_FILE)
-    with open(checksums_path) as handle:
-        checksums = json.load(handle)
-    checksums[MANIFEST_FILE] = sha256_file(manifest_path)
-    with open(checksums_path, "w") as handle:
-        json.dump(checksums, handle)
+    _reseal(path, MANIFEST_FILE)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -179,7 +184,10 @@ class TestArtifactFormat:
         assert manifest["model"]["config"]["plm_dim"] == model_config.plm_dim
         assert manifest["dtype"] == "float64"
         assert manifest["tokenizer"]["kind"] == "whitespace"
-        assert manifest["encoder"]["vocab_size"] == len(tiny_vocab)
+        assert manifest["encoder_backend"]["kind"] == "local"
+        assert manifest["encoder_backend"]["encoder"]["vocab_size"] == len(tiny_vocab)
+        assert manifest["feature_channels"] == [
+            {"kind": "plm"}, {"kind": "style"}, {"kind": "emotion"}]
         assert manifest["labels"] == ["real", "fake"]
 
     def test_missing_artifact_errors(self, tmp_path):
@@ -191,10 +199,10 @@ class TestArtifactFormat:
                                                       tmp_path):
         """Any broken piece — files or specs — surfaces as PipelineError.
 
-        With the checksum sidecar present, any byte-level damage is refused
-        up-front as a checksum mismatch (covered in tests/reliability/).  Each
-        block below removes the sidecar first so the deeper, piece-specific
-        error paths stay exercised via the legacy no-sidecar load.
+        Byte-level damage is refused up-front as a checksum mismatch (more
+        in tests/reliability/).  Each block below then re-seals the damaged
+        file in the sidecar, so the deeper, piece-specific error paths stay
+        exercised.
         """
         model = _build("textcnn_s", model_config, "float64")
         path = save_pipeline(
@@ -203,7 +211,9 @@ class TestArtifactFormat:
         os.remove(os.path.join(path, "vocab.json"))
         with pytest.raises(PipelineError, match="checksum mismatch"):
             load_pipeline(path)
-        os.remove(os.path.join(path, CHECKSUMS_FILE))
+        with open(os.path.join(path, "vocab.json"), "w") as handle:
+            handle.write("{not json")
+        _reseal(path, "vocab.json")
         with pytest.raises(PipelineError, match="malformed"):
             load_pipeline(path)
 
@@ -218,8 +228,9 @@ class TestArtifactFormat:
         path = save_pipeline(
             _pipeline_for(model, tiny_vocab, tiny_encoder, tiny_dataset),
             tmp_path / "artifact3")
-        os.remove(os.path.join(path, "weights.npz"))
-        os.remove(os.path.join(path, CHECKSUMS_FILE))
+        with open(os.path.join(path, "weights.npz"), "wb") as handle:
+            handle.write(b"not an npz archive")
+        _reseal(path, "weights.npz")
         with pytest.raises(PipelineError, match="unloadable weights"):
             load_pipeline(path)
 
@@ -233,6 +244,25 @@ class TestArtifactFormat:
             path,
             lambda m: m.update(format_version=PIPELINE_FORMAT_VERSION + 1))
         with pytest.raises(PipelineError, match="format version"):
+            load_pipeline(path)
+
+    def test_version_1_manifest_refused_readably(self, model_config, tiny_vocab,
+                                                 tiny_encoder, tiny_dataset,
+                                                 tmp_path):
+        """A v1 manifest (names-only channels, legacy ``encoder`` key) is
+        refused with the version and a re-export hint, not a KeyError."""
+        model = _build("textcnn_s", model_config, "float64")
+        path = save_pipeline(
+            _pipeline_for(model, tiny_vocab, tiny_encoder, tiny_dataset),
+            tmp_path / "artifact")
+
+        def to_v1(manifest):
+            manifest["encoder"] = manifest.pop("encoder_backend")["encoder"]
+            manifest["feature_channels"] = ["plm", "style", "emotion"]
+            manifest["format_version"] = 1
+
+        _rewrite_manifest(path, to_v1)
+        with pytest.raises(PipelineError, match="format version 1.*re-export"):
             load_pipeline(path)
 
     def test_unregistered_model_names_registration_hint(self, model_config, tiny_vocab,

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from repro.data import DataLoader, MultiDomainNewsDataset, NewsItem
-from repro.encoders import (
-    FrozenPretrainedEncoder,
-    emotion_feature_extractor,
-    style_feature_extractor,
-)
+from repro.encoders import LocalBackend, stock_channels
 from repro.models import build_model
 from repro.serve import Pipeline
 from repro.tensor import default_dtype
@@ -46,11 +42,7 @@ class TestTrainingParity:
         with default_dtype(dtype):
             return DataLoader(dataset, tiny_vocab, max_length=16,
                               batch_size=len(items), shuffle=False,
-                              feature_extractors={
-                                  "plm": tiny_encoder.as_feature_extractor(),
-                                  "style": style_feature_extractor,
-                                  "emotion": emotion_feature_extractor,
-                              })
+                              channels=stock_channels(LocalBackend(tiny_encoder)))
 
     def test_encode_batch_matches_dataloader(self, dtype, model_config, tiny_vocab,
                                              tiny_encoder, tiny_dataset, probe_items):
@@ -197,9 +189,9 @@ class TestMicroBatcher:
         assert len(queue) == 2
         queue.drain()
         assert all(ticket.done for ticket in tickets)
-        assert queue.batches_flushed == 3
-        assert queue.items_flushed == len(probe_items)
-        assert queue.flush_reasons == {"full": 2, "latency": 0, "drain": 1}
+        assert queue.stats.batches == 3
+        assert queue.stats.served + queue.stats.failed == len(probe_items)
+        assert queue.stats.flush_reasons == {"full": 2, "latency": 0, "drain": 1}
 
     def test_latency_deadline_flushes_on_next_submit(self, predictor, probe_items):
         import time
@@ -209,7 +201,7 @@ class TestMicroBatcher:
         time.sleep(0.02)
         queue.submit(probe_items[1].text)
         assert first.done  # overdue batch flushed before the new ticket queued
-        assert queue.flush_reasons["latency"] == 1
+        assert queue.stats.flush_reasons["latency"] == 1
         assert len(queue) == 1
 
     def test_results_match_direct_predict(self, predictor, probe_items):

@@ -1,11 +1,10 @@
 """Builders shared by the streaming-subsystem tests.
 
-The root conftest's loaders are built with ``feature_extractors=`` (consumed
-at construction), but the streaming ring buffer needs loaders built with
-``channels=`` so rows can be re-encoded in place — hence these private
-builders.  The corpus/vocab are module-cached (dtype-independent plain
-NumPy); models, loaders and pipelines are rebuilt per call inside the
-requested dtype policy.
+The root conftest's loaders are session-shared, but the streaming ring
+buffer overwrites loader rows in place — hence these private builders.  The
+corpus/vocab are module-cached (dtype-independent plain NumPy); models,
+loaders and pipelines are rebuilt per call inside the requested dtype
+policy.
 """
 
 from __future__ import annotations

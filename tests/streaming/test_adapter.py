@@ -82,12 +82,6 @@ class TestStreamWindowBuffer:
         with pytest.raises(TypeError, match="NewsItem"):
             buffer.write(["just a string"])
 
-    def test_requires_channel_built_loader(self, train_loader):
-        # The root-conftest loader uses feature_extractors=, which are
-        # consumed at construction — rows cannot be recomputed in place.
-        with pytest.raises(ValueError, match="channels="):
-            StreamWindowBuffer(train_loader)
-
 
 def _adapter(dtype, export_path, distilled=False, rows=32, **config_kwargs):
     pipeline = build_pipeline(dtype, "textcnn_s")
