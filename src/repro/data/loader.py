@@ -116,6 +116,12 @@ class DataLoader:
                 raise TypeError(
                     f"channels entries must be FeatureChannel instances or spec "
                     f"dicts, got {type(entry).__name__}")
+        names = [channel.name for channel in resolved]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(
+                    f"feature channel '{name}' is passed more than once; each "
+                    "channel name must be unique")
         return resolved
 
     # ------------------------------------------------------------------ #

@@ -138,6 +138,12 @@ class Pipeline:
                 f"{len(self.domain_names)} domain names were provided")
         if self.channels is None:
             self.channels = stock_channels(self.encoder)
+        names = [channel.name for channel in self.channels]
+        for name in names:
+            if names.count(name) > 1:
+                raise PipelineError(
+                    f"feature channel '{name}' is listed more than once; each "
+                    "channel name must be unique")
         for channel in self.channels:
             if (isinstance(channel, PLMChannel) and channel.backend is not self.encoder
                     and channel.backend.fingerprint() != self.encoder.fingerprint()):

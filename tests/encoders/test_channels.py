@@ -193,6 +193,13 @@ class TestLoaderChannels:
             DataLoader(tiny_splits.val, tiny_vocab, max_length=16, batch_size=16,
                        shuffle=False, seed=0, channels=["style"])
 
+    def test_duplicate_channel_name_rejected(self, tiny_splits, tiny_vocab):
+        """Features are keyed by channel name; a repeat would overwrite."""
+        with pytest.raises(ValueError, match="'style' is passed more than once"):
+            DataLoader(tiny_splits.val, tiny_vocab, max_length=16, batch_size=16,
+                       shuffle=False, seed=0,
+                       channels=[StyleChannel(), {"kind": "style"}])
+
     def test_emotion_channel_instance_usable_directly(self, tiny_splits, tiny_vocab):
         loader = DataLoader(tiny_splits.val, tiny_vocab, max_length=16,
                             batch_size=16, shuffle=False, seed=0,

@@ -290,6 +290,18 @@ class TestFailureModes:
             channels=[PLMChannel(LocalBackend(tiny_encoder))])
         assert [ch.name for ch in pipeline.channels] == ["plm"]
 
+    def test_duplicate_channel_names_refused(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        """Serving keys features by channel name, so a second channel of the
+        same name would silently replace the first."""
+        with default_dtype("float64"):
+            model = build_model("textcnn_s", model_config)
+        with pytest.raises(PipelineError, match="'style' is listed more than once"):
+            Pipeline.from_training(
+                model, tiny_vocab, tiny_encoder, max_length=16,
+                domain_names=tiny_dataset.domain_names,
+                channels=[StyleChannel(), EmotionChannel(), StyleChannel()])
+
 
 class TestBackendHealthReporting:
     def test_health_reports_cached_backend_state(self, model_config, tiny_vocab,
