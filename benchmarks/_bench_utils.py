@@ -67,8 +67,9 @@ def record_bench(suite: str, entries: list[dict], merge: bool = True) -> str:
 
     Each entry is a flat dict with at least a ``name`` key; entries replace any
     existing entry of the same name so repeated runs keep one row per
-    benchmark.  The file keeps enough environment metadata to make numbers
-    comparable across PRs on the same machine.  Safe under concurrent writers:
+    benchmark.  The file keeps enough environment metadata
+    (:func:`bench_environment`) to make numbers comparable across PRs on the
+    same machine.  Safe under concurrent writers:
     the whole read-merge-write cycle holds an exclusive advisory lock, so
     parallel processes interleave instead of losing keys.
     """
@@ -77,13 +78,29 @@ def record_bench(suite: str, entries: list[dict], merge: bool = True) -> str:
         return _record_bench_locked(suite, path, entries, merge)
 
 
-def _record_bench_locked(suite: str, path: str, entries: list[dict],
-                         merge: bool) -> str:
+def bench_environment() -> dict:
+    """Where a record's numbers come from: interpreter, host and BLAS threads.
+
+    A change in any of these values starts a fresh record instead of mixing
+    provenance.
+    """
+    import numpy
+
     environment = {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "recorded_unix": int(time.time()),
+        "cpu_count": os.cpu_count(),
+        "numpy": numpy.__version__,
     }
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        environment[variable] = os.environ.get(variable)
+    return environment
+
+
+def _record_bench_locked(suite: str, path: str, entries: list[dict],
+                         merge: bool) -> str:
+    provenance = bench_environment()
+    environment = {**provenance, "recorded_unix": int(time.time())}
     payload = {"suite": suite, "entries": []}
     if merge and os.path.exists(path):
         try:
@@ -92,10 +109,7 @@ def _record_bench_locked(suite: str, path: str, entries: list[dict],
         except (OSError, ValueError):
             payload = {"suite": suite, "entries": []}
         previous_env = payload.get("environment", {})
-        if any(previous_env.get(key) != environment[key]
-               for key in ("python", "machine")):
-            # Numbers from a different interpreter/machine are not comparable;
-            # start a fresh record instead of mixing provenance.
+        if any(previous_env.get(key) != value for key, value in provenance.items()):
             payload = {"suite": suite, "entries": []}
     existing = {entry.get("name"): entry for entry in payload.get("entries", [])}
     for entry in entries:

@@ -20,11 +20,11 @@ from repro.nn import (
     GRU,
     LSTM,
     AttentionPooling,
-    Conv1d,
     GRUCell,
     LayerNorm,
     LSTMCell,
     Linear,
+    TextCNNEncoder,
 )
 from repro.tensor import Tensor, functional as F, fused_kernels
 
@@ -132,13 +132,16 @@ def test_per_op_fused_vs_composed():
         (new_h * new_h).mean().backward()
     _bench_pair("lstm_step", run_lstm_step, entries)
 
-    conv = Conv1d(DIM, 64, 5, rng=np.random.default_rng(3))
+    # TextCNN-S's encoder: one fused.textcnn node against the composed
+    # conv -> relu -> max -> cat chain (13 nodes for four kernels).
+    encoder = TextCNNEncoder(DIM, kernel_sizes=(1, 2, 3, 5), channels=64,
+                             rng=np.random.default_rng(3))
 
-    def run_conv1d():
-        conv.zero_grad()
-        out = conv(Tensor(x3, requires_grad=True))
+    def run_textcnn():
+        encoder.zero_grad()
+        out = encoder(Tensor(x3))
         (out * out).mean().backward()
-    _bench_pair("conv1d", run_conv1d, entries)
+    _bench_pair("textcnn", run_textcnn, entries)
 
     path = record_bench("engine", entries)
     print(f"recorded {len(entries)} entries -> {path}")

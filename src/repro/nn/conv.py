@@ -17,10 +17,10 @@ from repro.nn.module import Module, ModuleList
 class Conv1d(Module):
     """Valid 1-D convolution over the time axis of ``(batch, seq, channels)``.
 
-    The fast path is a fused kernel whose unfold is a zero-copy ``as_strided``
-    view (:func:`repro.tensor.fused.conv1d`); with fusion disabled it falls
-    back to the composed unfold (one window copy per kernel offset followed by
-    a concatenation) that the fused kernel is parity-tested against.
+    Composed from primitives: one window copy per kernel offset, a
+    concatenation and a matmul.  Inside :class:`TextCNNEncoder` the fused
+    :func:`repro.tensor.fused.textcnn` node replaces this layer and is
+    parity-tested against it.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -41,8 +41,6 @@ class Conv1d(Module):
         if seq_len < self.kernel_size:
             raise ValueError(
                 f"sequence length {seq_len} shorter than kernel size {self.kernel_size}")
-        if fused.is_fused_enabled():
-            return fused.conv1d(x, self.weight, self.bias, self.kernel_size)
         out_len = seq_len - self.kernel_size + 1
         windows = [x[:, offset:offset + out_len, :] for offset in range(self.kernel_size)]
         unfolded = Tensor.cat(windows, axis=2)  # (batch, out_len, k * in_channels)
@@ -52,14 +50,11 @@ class Conv1d(Module):
 class GlobalMaxPool1d(Module):
     """Max over the time axis of ``(batch, seq, channels)``.
 
-    The fused kernel routes the gradient to the argmax position (first winner
-    on ties); the composed ``Tensor.max`` splits exact ties evenly.  On the
-    continuous activations this pool sees, ties have probability zero.
+    ``Tensor.max`` splits the gradient of exact ties evenly; the fused
+    :func:`repro.tensor.fused.textcnn` node routes it to the first winner.
     """
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused.is_fused_enabled():
-            return fused.max_pool1d(x)
         return x.max(axis=1)
 
 
@@ -75,6 +70,10 @@ class TextCNNEncoder(Module):
 
     Produces a fixed-size vector of ``len(kernel_sizes) * channels`` features
     from a ``(batch, seq, embed_dim)`` sequence of token representations.
+    With fusion enabled the whole encoder is one
+    :func:`repro.tensor.fused.textcnn` graph node; with fusion disabled it is
+    the composed ``Conv1d`` -> ReLU -> ``GlobalMaxPool1d`` chain per kernel
+    plus a concatenation, the ground truth the node is tested against.
     """
 
     def __init__(self, embed_dim: int, kernel_sizes: tuple[int, ...] = (1, 2, 3, 5),
@@ -92,10 +91,8 @@ class TextCNNEncoder(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if fused.is_fused_enabled():
-            # max and relu commute (both monotone, relu(0)=0), so pooling
-            # before the relu yields identical values and gradients while
-            # never materialising the (batch, out_len, channels) relu map.
-            pooled = [fused.max_pool1d(conv(x)).relu() for conv in self.convolutions]
-        else:
-            pooled = [self.pool(conv(x).relu()) for conv in self.convolutions]
+            return fused.textcnn(x, [conv.weight for conv in self.convolutions],
+                                 [conv.bias for conv in self.convolutions],
+                                 self.kernel_sizes)
+        pooled = [self.pool(conv(x).relu()) for conv in self.convolutions]
         return Tensor.cat(pooled, axis=1)

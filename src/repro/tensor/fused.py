@@ -26,7 +26,7 @@ Kernel inventory
 ``masked_mean``       mask-weighted mean over the time axis
 ``mix_experts``       gate-weighted mixture of stacked expert features
 ``layer_norm``        layer normalisation over the last axis
-``conv1d``            valid 1-D convolution via an ``as_strided`` unfold
+``textcnn``           multi-kernel conv -> max over time -> ReLU -> concat
 
 All whole-sequence recurrence routes through :func:`lane_scan` — the single
 backward-through-time implementation in the engine.  It consumes
@@ -1008,75 +1008,95 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
 
 
 # --------------------------------------------------------------------------- #
-# Pooling                                                                      #
+# Multi-kernel TextCNN                                                         #
 # --------------------------------------------------------------------------- #
-def max_pool1d(x: Tensor) -> Tensor:
-    """Fused global max over the time axis of ``(batch, seq, channels)``.
+def textcnn(x: Tensor, weights: list[Tensor], biases: list[Tensor],
+            kernel_sizes: tuple[int, ...]) -> Tensor:
+    """Kim (2014) TextCNN over ``(batch, seq, channels)`` in one graph node.
 
-    Backward scatters the gradient to the argmax position (first winner on
-    exact ties), avoiding the composed path's equality-mask construction and
-    tie normalisation.
-    """
-    if not _recording(x):
-        return _wrap(x.data.max(axis=1))
-    # One scan: the argmax both selects the forward value and is reused by the
-    # backward scatter.
-    winners = x.data.argmax(axis=1)[:, None, :]  # (batch, 1, channels)
-    data = np.take_along_axis(x.data, winners, axis=1)[:, 0, :]
+    For every kernel ``k`` (weight ``(k * channels, n)``, bias ``(n,)``): a
+    valid 1-D convolution, max over time, ReLU; the per-kernel features are
+    concatenated into ``(batch, len(kernel_sizes) * n)``.  Max and ReLU
+    commute, so the ReLU is applied to the pooled ``(batch, n)`` maximum.
 
-    def backward(grad):
-        full = np.zeros_like(x.data)
-        np.put_along_axis(full, winners, grad[:, None, :], axis=1)
-        x._accumulate_grad(full, owned=True)
-
-    return _attach(data, (x,), backward)
-
-
-# --------------------------------------------------------------------------- #
-# Convolution                                                                  #
-# --------------------------------------------------------------------------- #
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, kernel_size: int) -> Tensor:
-    """Fused valid 1-D convolution over ``(batch, seq, channels)``.
-
-    The unfold is a zero-copy ``as_strided`` view (instead of materialising a
-    window copy per kernel offset); a single reshape materialises the
-    ``(batch, out_len, k * channels)`` matrix that feeds one matmul.
+    * The unfold is a zero-copy ``(batch, L_k, k * channels)`` window view
+      of ``x``; its reshape to the 2-D ``(batch * L_k, k * channels)`` GEMM
+      operand is the only copy, and one 2-D GEMM per kernel follows.
+    * The bias add writes a time-major ``(L_k, batch, n)`` copy, so the max
+      over time reduces contiguous slabs instead of a strided axis.
+    * The backward routes each pooled gradient to the *first* maximal time
+      step, found once in the forward (flat scatter positions, no
+      ``argmax``); the weight and bias gradients are the dense GEMM and
+      column sum over ``(batch, L_k)`` rows, the composed path's order.
     """
     batch, seq_len, channels = x.data.shape
-    out_len = seq_len - kernel_size + 1
-    if out_len <= 0:
-        raise ValueError(
-            f"sequence length {seq_len} shorter than kernel size {kernel_size}")
-    if kernel_size == 1:
-        # A width-1 convolution is exactly a per-position linear projection.
-        return linear(x, weight, bias)
-    # Zero-copy strided unfold in (offset-major, channel-minor) order, i.e.
-    # windows[b, o, j, c] == x[b, o + j, c]; the single reshape below is the
-    # only materialisation.
-    s0, s1, s2 = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data, shape=(batch, out_len, kernel_size, channels),
-        strides=(s0, s1, s1, s2))
-    unfolded = windows.reshape(batch, out_len, kernel_size * channels)
-    data = unfolded @ weight.data + bias.data
-    parents = (x, weight, bias)
-    if not _recording(*parents):
+    for weight, kernel_size in zip(weights, kernel_sizes):
+        if weight.data.shape[0] != kernel_size * channels:
+            raise ValueError(f"expected {weight.data.shape[0] // kernel_size} input "
+                             f"channels, got {channels}")
+        if seq_len < kernel_size:
+            raise ValueError(
+                f"sequence length {seq_len} shorter than kernel size {kernel_size}")
+    parents = (x, *weights, *biases)
+    recording = _recording(*parents)
+    width = weights[0].data.shape[1]
+    cells = batch * width
+    dtype = np.result_type(x.data, *(p.data for p in weights), *(p.data for p in biases))
+    data = np.empty((batch, len(kernel_sizes) * width), dtype)
+    source = np.ascontiguousarray(x.data)
+    saved = []
+    for index, (weight, bias, kernel_size) in enumerate(zip(weights, biases, kernel_sizes)):
+        out_len = seq_len - kernel_size + 1
+        # Row (b, o) of the unfold is x[b, o:o + k, :] flattened, one
+        # contiguous run of a C-contiguous x: the window view keeps x's
+        # strides and only its shape changes.
+        windows = np.ndarray((batch, out_len, kernel_size * channels), source.dtype,
+                             source, 0, source.strides)
+        unfolded = windows.reshape(batch * out_len, kernel_size * channels)
+        conv = unfolded @ weight.data
+        time_major = np.empty((out_len, batch, width), dtype)
+        np.add(conv.reshape(batch, out_len, width).transpose(1, 0, 2), bias.data,
+               out=time_major)
+        pooled = time_major.max(axis=0)
+        np.maximum(pooled, 0.0, out=data[:, index * width:(index + 1) * width])
+        if recording:
+            winners = time_major == pooled
+            positions = np.flatnonzero(winners)
+            if positions.size != cells:
+                # Exact ties: keep only the first maximal time step.
+                winners[1:] &= ~np.logical_or.accumulate(winners, axis=0)[:-1]
+                positions = np.flatnonzero(winners)
+            # Time-major flat position t * cells + (b * width + n) -> flat
+            # position (b * out_len + t) * width + n of the batch-major
+            # (batch * out_len, width) gradient; ``cell`` indexes the pooled grad.
+            step, cell = np.divmod(positions, cells)
+            row_major = ((cell // width) * out_len + step) * width + cell % width
+            saved.append((unfolded, row_major, cell, pooled > 0.0))
+    if not recording:
         return _wrap(data)
 
     def backward(grad):
-        if x.requires_grad:
-            d_unfolded = (grad @ weight.data.T).reshape(
-                batch, out_len, kernel_size, channels)
-            d_x = np.zeros_like(x.data)
-            for offset in range(kernel_size):
-                d_x[:, offset:offset + out_len, :] += d_unfolded[:, :, offset, :]
-            x._accumulate_grad(d_x, owned=True)
-        if weight.requires_grad:
-            flat_u = unfolded.reshape(-1, kernel_size * channels)
-            flat_g = grad.reshape(-1, grad.shape[-1])
-            weight._accumulate_grad(flat_u.T @ flat_g, owned=True)
-        if bias.requires_grad:
-            bias._accumulate_grad(grad.reshape(-1, grad.shape[-1]).sum(axis=0),
-                                  owned=True)
+        for index, (weight, bias, kernel_size) in enumerate(
+                zip(weights, biases, kernel_sizes)):
+            unfolded, row_major, cell, alive = saved[index]
+            out_len = seq_len - kernel_size + 1
+            routed = grad[:, index * width:(index + 1) * width] * alive
+            d_conv = np.zeros(batch * out_len * width, routed.dtype)
+            d_conv[row_major] = routed.reshape(-1)[cell]
+            d_conv = d_conv.reshape(batch * out_len, width)
+            if x.requires_grad:
+                d_unfolded = d_conv @ weight.data.T
+                if kernel_size == 1:
+                    d_x = d_unfolded.reshape(batch, seq_len, channels)
+                else:
+                    d_unfolded = d_unfolded.reshape(batch, out_len, kernel_size, channels)
+                    d_x = np.zeros_like(x.data)
+                    for offset in range(kernel_size):
+                        d_x[:, offset:offset + out_len, :] += d_unfolded[:, :, offset, :]
+                x._accumulate_grad(d_x, owned=True)
+            if weight.requires_grad:
+                weight._accumulate_grad(unfolded.T @ d_conv, owned=True)
+            if bias.requires_grad:
+                bias._accumulate_grad(d_conv.sum(axis=0), owned=True)
 
     return _attach(data, parents, backward)

@@ -70,6 +70,22 @@ class TestDTDBDTraining:
             assert add + dkd == pytest.approx(1.0)
         assert all("weight_add" in record.extras for record in history)
 
+    def test_non_finite_gradient_leaves_weights_untouched(self, model_config, teachers,
+                                                          train_loader, monkeypatch):
+        unbiased, clean = teachers
+        student = build_model("textcnn_s", model_config.with_overrides(seed=33))
+        extract = student.extract_features
+        monkeypatch.setattr(student, "extract_features",
+                            lambda batch: extract(batch) * float("nan"))
+        before = {name: value.copy() for name, value in student.state_dict().items()}
+        trainer = DTDBDTrainer(student, unbiased, clean,
+                               DTDBDConfig(epochs=1, learning_rate=2e-3))
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            trainer.fit(train_loader)
+        assert trainer.optimizer._step_count == 0
+        for name, value in student.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
     def test_student_learns_under_distillation(self, model_config, teachers,
                                                 train_loader, test_loader):
         unbiased, clean = teachers

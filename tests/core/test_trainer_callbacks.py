@@ -23,6 +23,20 @@ class TestTrainer:
         assert len(history) == 3
         assert history.train_losses[-1] < history.train_losses[0]
 
+    def test_non_finite_gradient_leaves_weights_untouched(self, model_config,
+                                                          train_loader, monkeypatch):
+        model = build_model("textcnn_s", model_config)
+        extract = model.extract_features
+        monkeypatch.setattr(model, "extract_features",
+                            lambda batch: extract(batch) * float("nan"))
+        before = {name: value.copy() for name, value in model.state_dict().items()}
+        trainer = Trainer(model, TrainerConfig(epochs=1, learning_rate=2e-3))
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            trainer.fit(train_loader)
+        assert trainer.optimizer._step_count == 0
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
     def test_validation_metrics_recorded(self, model_config, train_loader, val_loader):
         model = build_model("bert", model_config)
         trainer = Trainer(model, TrainerConfig(epochs=2, learning_rate=2e-3))

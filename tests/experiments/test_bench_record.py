@@ -59,6 +59,27 @@ def test_record_bench_merges_and_replaces_by_name(tmp_path, monkeypatch):
     assert [entry["name"] for entry in payload["entries"]] == ["c"]
 
 
+def test_record_bench_environment_change_starts_fresh_record(tmp_path, monkeypatch):
+    utils = _load_utils()
+    monkeypatch.setattr(utils, "REPO_ROOT", str(tmp_path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    path = utils.record_bench("unit", [{"name": "a", "value": 1}])
+    with open(path, "r", encoding="utf-8") as handle:
+        environment = json.load(handle)["environment"]
+    for key in ("python", "machine", "cpu_count", "numpy", "OMP_NUM_THREADS"):
+        assert key in environment
+    assert environment["OPENBLAS_NUM_THREADS"] == "1"
+    assert environment["cpu_count"] == os.cpu_count()
+    utils.record_bench("unit", [{"name": "b", "value": 2}])  # same environment: merge
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    utils.record_bench("unit", [{"name": "c", "value": 3}])  # BLAS threads moved
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    assert [entry["name"] for entry in payload["entries"]] == ["c"]
+    assert payload["environment"]["OPENBLAS_NUM_THREADS"] == "2"
+
+
 def test_record_bench_concurrent_writers_lose_no_entries(tmp_path):
     utils = _load_utils()
     if getattr(utils, "fcntl", None) is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Conv1d, GlobalMaxPool1d, GlobalMeanPool1d, TextCNNEncoder
-from repro.tensor import Tensor
+from repro.tensor import Tensor, fused_kernels
 from repro.utils import seeded_rng
 
 
@@ -84,3 +84,17 @@ class TestTextCNNEncoder:
         encoder(Tensor(np.random.default_rng(0).standard_normal((2, 6, 8)))).sum().backward()
         for conv in encoder.convolutions:
             assert conv.weight.grad is not None
+
+    @pytest.mark.parametrize("fused_on", (True, False))
+    def test_channel_mismatch_raises(self, fused_on):
+        encoder = TextCNNEncoder(8, kernel_sizes=(1, 3), channels=4, rng=seeded_rng(0))
+        with fused_kernels(fused_on), pytest.raises(
+                ValueError, match="expected 8 input channels, got 6"):
+            encoder(Tensor(np.zeros((2, 6, 6))))
+
+    @pytest.mark.parametrize("fused_on", (True, False))
+    def test_kernel_longer_than_sequence_raises(self, fused_on):
+        encoder = TextCNNEncoder(8, kernel_sizes=(1, 5), channels=4, rng=seeded_rng(0))
+        with fused_kernels(fused_on), pytest.raises(
+                ValueError, match="sequence length 4 shorter than kernel size 5"):
+            encoder(Tensor(np.zeros((2, 4, 8))))

@@ -16,7 +16,7 @@ from repro.nn import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, default_dtype
 from repro.utils import seeded_rng
 
 
@@ -116,6 +116,90 @@ class TestOptimisers:
         assert len(optimizer.parameters) == 1
 
 
+def _reference_adam(parameters, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """Per-tensor Adam: the loop the flat-buffer update must reproduce bit for bit."""
+    moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in parameters]
+    count = [0]
+
+    def step():
+        count[0] += 1
+        bias1 = 1.0 - betas[0] ** count[0]
+        bias2 = 1.0 - betas[1] ** count[0]
+        for parameter, (m, v) in zip(parameters, moments):
+            if parameter.grad is None:
+                continue
+            grad = parameter.grad
+            if weight_decay:
+                grad = grad + weight_decay * parameter.data
+            m *= betas[0]
+            m += (1.0 - betas[0]) * grad
+            v *= betas[1]
+            v += (1.0 - betas[1]) * grad * grad
+            denom = np.sqrt(v / bias2)
+            denom += eps
+            denom /= lr / bias1
+            parameter.data -= m / denom
+
+    return step, moments
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize("weight_decay", (0.0, 0.01))
+    def test_bit_identical_to_per_tensor_reference(self, dtype, weight_decay):
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (4,), (2, 3, 2), ()]
+
+        with default_dtype(dtype):
+            flat_params = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                           for shape in shapes]
+            reference_params = [Tensor(p.data.copy(), requires_grad=True)
+                                 for p in flat_params]
+        optimizer = Adam(flat_params, lr=0.01, weight_decay=weight_decay)
+        reference_step, reference_moments = _reference_adam(
+            reference_params, lr=0.01, weight_decay=weight_decay)
+        for step in range(50):
+            for flat, reference in zip(flat_params, reference_params):
+                grad = rng.standard_normal(flat.data.shape).astype(dtype)
+                flat.grad, reference.grad = grad, grad.copy()
+            if step % 3 == 1:  # the third parameter sits this step out
+                flat_params[2].grad = reference_params[2].grad = None
+            optimizer.step()
+            reference_step()
+            for index, (flat, reference) in enumerate(zip(flat_params, reference_params)):
+                assert flat.data.dtype == dtype
+                assert flat.data.tobytes() == reference.data.tobytes()
+                m, v = reference_moments[index]
+                assert optimizer._m[index].tobytes() == m.tobytes()
+                assert optimizer._v[index].tobytes() == v.tobytes()
+
+    def test_moments_are_views_of_the_flat_buffers_after_unpack(self):
+        from repro.core.snapshot import pack_adam_state, unpack_adam_state
+
+        def make():
+            return [Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+                    Tensor(np.ones(4), requires_grad=True)]
+
+        source, target = make(), make()
+        optimizer = Adam(source, lr=0.1)
+        for _ in range(3):
+            for parameter in source:
+                parameter.grad = np.full(parameter.data.shape, 0.5)
+            optimizer.step()
+        meta, arrays = {}, {}
+        pack_adam_state(optimizer, meta, arrays)
+        restored = Adam(target, lr=0.1)
+        unpack_adam_state(restored, meta, arrays)
+        assert restored._step_count == 3
+        for index in range(2):
+            assert np.shares_memory(restored._m[index], restored._m_flat)
+            assert np.shares_memory(restored._v[index], restored._v_flat)
+            np.testing.assert_array_equal(restored._m[index], optimizer._m[index])
+            np.testing.assert_array_equal(restored._v[index], optimizer._v[index])
+        np.testing.assert_array_equal(restored._m_flat, optimizer._m_flat)
+        np.testing.assert_array_equal(restored._v_flat, optimizer._v_flat)
+
+
 class TestClipperAndScheduler:
     def test_clipper_limits_norm(self):
         parameter = Tensor(np.zeros(4), requires_grad=True)
@@ -129,6 +213,16 @@ class TestClipperAndScheduler:
         parameter.grad = np.full(4, 0.01)
         GradientClipper(max_norm=5.0).clip([parameter])
         np.testing.assert_allclose(parameter.grad, 0.01)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_clipper_refuses_non_finite_norm(self, bad):
+        finite = Tensor(np.zeros(3), requires_grad=True)
+        finite.grad = np.full(3, 10.0)
+        broken = Tensor(np.zeros(2), requires_grad=True)
+        broken.grad = np.array([1.0, bad])
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            GradientClipper(max_norm=1.0).clip([finite, broken])
+        np.testing.assert_array_equal(finite.grad, 10.0)
 
     def test_clipper_invalid_norm(self):
         with pytest.raises(ValueError):

@@ -136,6 +136,25 @@ class TestOnlineAdapter:
             np.testing.assert_array_equal(
                 value, adapter.pipeline.model.state_dict()[key])
 
+    def test_non_finite_gradient_fails_loudly_and_exports_nothing(self, tmp_path,
+                                                                  monkeypatch):
+        adapter = _adapter("float64", tmp_path / "artifact")
+        model = adapter.pipeline.model
+        extract = model.extract_features
+        monkeypatch.setattr(model, "extract_features",
+                            lambda batch: extract(batch) * float("nan"))
+        before = adapter.pipeline.fingerprint()
+        weights = {name: value.copy() for name, value in model.state_dict().items()}
+        for item in _fresh_items(6):
+            adapter.ingest(item)
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            adapter.adapt("score_drift:health", ordinal=42)
+        assert adapter.adaptations == []
+        assert adapter.pipeline.fingerprint() == before
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, weights[name])
+        assert load_pipeline(tmp_path / "artifact").fingerprint() == before
+
     def test_oversized_feedback_keeps_newest_ring_rows(self, tmp_path):
         adapter = _adapter("float64", tmp_path / "artifact", rows=16)
         for item in _fresh_items(30):

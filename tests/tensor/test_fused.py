@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Conv1d, GRUCell, LSTMCell, Linear, TextCNNEncoder
+from repro.nn import GRUCell, LSTMCell, Linear, TextCNNEncoder
 from repro.tensor import (
     Tensor,
     default_dtype,
@@ -258,43 +258,13 @@ class TestFusedComposedParity:
             for got, expected in zip(run(True), run(False)):
                 np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
 
-    def test_conv1d(self, dtype):
+    @pytest.mark.parametrize("kernel_sizes", ((1, 2, 3, 5), (1, 2, 3, 5, 10)))
+    def test_textcnn_encoder(self, dtype, kernel_sizes):
+        """One ``fused.textcnn`` node == the composed conv/relu/pool/cat chain."""
         with default_dtype(dtype):
-            conv = Conv1d(4, 3, 3, rng=np.random.default_rng(0))
-        x = RNG.standard_normal((2, 7, 4))
-
-        def loss(xt):
-            return (conv(xt) ** 2).mean()
-
-        arrays = [np.asarray(x, dtype=dtype)]
-        with default_dtype(dtype):
-            fused_loss, fused_grads = _grads(loss, arrays, fused_on=True)
-            fused_params = [p.grad.copy() for p in conv.parameters()]
-            conv.zero_grad()
-            composed_loss, composed_grads = _grads(loss, arrays, fused_on=False)
-            composed_params = [p.grad.copy() for p in conv.parameters()]
-            conv.zero_grad()
-        assert abs(fused_loss - composed_loss) <= ATOL
-        for got, expected in zip(fused_grads + fused_params,
-                                 composed_grads + composed_params):
-            np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
-
-    def test_max_pool(self, dtype):
-        x = RNG.standard_normal((3, 6, 4))
-
-        def loss(xt):
-            pooled = fused.max_pool1d(xt) if fused.is_fused_enabled() \
-                else xt.max(axis=1)
-            return (pooled ** 2).sum()
-
-        assert_parity(loss, x, dtype=dtype)
-
-    def test_textcnn_encoder(self, dtype):
-        """The conv + relu/pool reordering must not change values or grads."""
-        with default_dtype(dtype):
-            encoder = TextCNNEncoder(6, kernel_sizes=(1, 2, 3), channels=5,
+            encoder = TextCNNEncoder(6, kernel_sizes=kernel_sizes, channels=5,
                                      rng=np.random.default_rng(0))
-        x = np.asarray(RNG.standard_normal((3, 8, 6)), dtype=dtype)
+        x = np.asarray(RNG.standard_normal((3, 12, 6)), dtype=dtype)
 
         def run(fused_on):
             with default_dtype(dtype), fused_kernels(fused_on):
@@ -307,9 +277,86 @@ class TestFusedComposedParity:
 
         fused_out, fused_grads = run(True)
         composed_out, composed_grads = run(False)
+        assert fused_out.dtype == composed_out.dtype == dtype
         np.testing.assert_allclose(fused_out, composed_out, atol=ATOL, rtol=1e-5)
         for got, expected in zip(fused_grads, composed_grads):
+            assert got.dtype == dtype
             np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
+
+    def test_textcnn_embedding_input_grad(self, dtype):
+        """The input-grad path: gradients reach a trainable embedding table."""
+        from repro.data.loader import Batch
+        from repro.models.base import ModelConfig
+        from repro.models.textcnn import TextCNNWithEmbedding
+
+        with default_dtype(dtype):
+            model = TextCNNWithEmbedding(
+                ModelConfig(num_domains=2, cnn_channels=4, mlp_hidden=(8,), dropout=0.0),
+                vocab_size=20, embed_dim=6)
+        token_ids = RNG.integers(1, 20, (4, 12))
+        token_ids[:, 9:] = 0  # padding: the conv sees exact ties there
+        batch = Batch(token_ids=token_ids, mask=(token_ids > 0).astype(dtype),
+                      labels=np.array([0, 1, 1, 0]), domains=np.array([0, 1, 0, 1]),
+                      indices=np.arange(4))
+
+        def run(fused_on):
+            with default_dtype(dtype), fused_kernels(fused_on):
+                model.zero_grad()
+                loss, _ = model.compute_loss(batch)
+                loss.backward()
+                return [p.grad.copy() for p in model.parameters()]
+
+        fused_grads, composed_grads = run(True), run(False)
+        assert np.abs(model.embedding.weight.grad).sum() > 0
+        for got, expected in zip(fused_grads, composed_grads):
+            np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
+
+
+class TestTextCNNNode:
+    def test_tie_routes_gradient_to_first_winner(self):
+        # Column 0 is x itself: row 0 ties at t=1,2, row 1 at t=0,2,3.
+        # Column 1 is 10 - x with unique maxima (row 0 at t=0, row 1 at t=1).
+        x = Tensor(np.array([[1.0, 3.0, 3.0, 2.0], [5.0, 0.0, 5.0, 5.0]])[:, :, None],
+                   requires_grad=True)
+        weight = Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
+        bias = Tensor(np.array([0.0, 10.0]), requires_grad=True)
+        out = fused.textcnn(x, [weight], [bias], (1,))
+        np.testing.assert_array_equal(out.numpy(), [[3.0, 9.0], [5.0, 10.0]])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad[:, :, 0], [[-1.0, 1.0, 0.0, 0.0],
+                                                         [1.0, -1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(weight.grad, [[3.0 + 5.0, 1.0 + 0.0]])
+        np.testing.assert_array_equal(bias.grad, [2.0, 2.0])
+
+    def test_relu_blocks_gradient_of_negative_maxima(self):
+        x = Tensor(np.array([[[1.0], [2.0]]]), requires_grad=True)
+        weight = Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
+        bias = Tensor(np.zeros(2), requires_grad=True)
+        out = fused.textcnn(x, [weight], [bias], (1,))
+        np.testing.assert_array_equal(out.numpy(), [[2.0, 0.0]])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad[0, :, 0], [0.0, 1.0])
+        np.testing.assert_array_equal(bias.grad, [1.0, 0.0])
+
+    def test_single_graph_node(self):
+        encoder = TextCNNEncoder(6, kernel_sizes=(1, 2, 3, 5), channels=4,
+                                 rng=np.random.default_rng(0))
+        x = Tensor(RNG.standard_normal((2, 9, 6)))
+        before = graph_nodes_created()
+        encoder(x)
+        assert graph_nodes_created() - before == 1
+        with fused_kernels(False):
+            before = graph_nodes_created()
+            encoder(x)
+            assert graph_nodes_created() - before > 1
+
+    def test_shape_errors_are_readable(self):
+        weight = Tensor(RNG.standard_normal((2 * 4, 3)))
+        bias = Tensor(np.zeros(3))
+        with pytest.raises(ValueError, match="expected 4 input channels, got 5"):
+            fused.textcnn(Tensor(np.zeros((1, 6, 5))), [weight], [bias], (2,))
+        with pytest.raises(ValueError, match="sequence length 1 shorter than kernel size 2"):
+            fused.textcnn(Tensor(np.zeros((1, 1, 4))), [weight], [bias], (2,))
 
 
 # --------------------------------------------------------------------------- #
@@ -367,12 +414,17 @@ class TestFusedNumericalGradients:
 
         assert_numerical(loss, x, h, c, *weights)
 
-    def test_conv1d(self):
+    def test_textcnn(self):
+        kernel_sizes = (1, 2, 3)
         x = RNG.standard_normal((2, 6, 3))
-        w = RNG.standard_normal((2 * 3, 4)) * 0.5
-        b = RNG.standard_normal(4) * 0.1
-        assert_numerical(
-            lambda xt, wt, bt: (fused.conv1d(xt, wt, bt, 2) ** 2).sum(), x, w, b)
+        weights = [RNG.standard_normal((k * 3, 4)) * 0.5 for k in kernel_sizes]
+        biases = [RNG.standard_normal(4) * 0.1 for _ in kernel_sizes]
+
+        def loss(xt, *params):
+            out = fused.textcnn(xt, params[:3], params[3:], kernel_sizes)
+            return (out ** 2).sum()
+
+        assert_numerical(loss, x, *weights, *biases)
 
     @pytest.mark.parametrize("normalize", (True, False))
     def test_add_loss(self, normalize):
@@ -411,7 +463,8 @@ class TestNoGradFastPath:
         linear = Linear(6, 4, rng=np.random.default_rng(0))
         gru = GRUCell(6, 4, rng=np.random.default_rng(1))
         lstm = LSTMCell(6, 4, rng=np.random.default_rng(2))
-        conv = Conv1d(6, 4, 2, rng=np.random.default_rng(3))
+        encoder = TextCNNEncoder(6, kernel_sizes=(1, 2), channels=4,
+                                 rng=np.random.default_rng(3))
         x2 = Tensor(RNG.standard_normal((3, 6)))
         x3 = Tensor(RNG.standard_normal((3, 5, 6)))
         h = Tensor(RNG.standard_normal((3, 4)))
@@ -421,7 +474,7 @@ class TestNoGradFastPath:
             _ = linear(x2)
             _ = gru(x2, h)
             _ = lstm(x2, h, c)
-            _ = fused.max_pool1d(conv(x3))
+            _ = encoder(x3)
             _ = F.softmax(x2)
             _ = F.cross_entropy(x2[:, :2], np.array([0, 1, 0]))
             _ = F.distillation_kl(x2, x2, temperature=2.0)
