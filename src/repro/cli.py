@@ -351,9 +351,13 @@ def cmd_sweep(args) -> int:
         retry = RetryPolicy(attempts=max(1, args.retries + 1),
                             base_delay_s=0.05, max_delay_s=1.0,
                             retry_on=(Exception,))
-    config = OrchestratorConfig(jobs=args.jobs, retry=retry,
-                                cell_timeout_s=args.cell_timeout,
-                                on_progress=lambda line: print(f"sweep: {line}"))
+    try:
+        config = OrchestratorConfig(
+            jobs=args.jobs, retry=retry, cell_timeout_s=args.cell_timeout,
+            on_progress=lambda line: print(f"sweep: {line}"))
+    except ValueError as error:
+        print(f"sweep: {error}", file=sys.stderr)
+        return 2
     try:
         sweep = run_sweep(specs, config=config, journal_dir=args.journal,
                           resume=args.resume)
@@ -380,10 +384,14 @@ def cmd_serve(args) -> int:
 
     from repro.serve import HttpFrontend, PipelineError, Server, ServerConfig
 
-    config = ServerConfig(workers=args.workers, max_batch=args.max_batch,
-                          max_latency_ms=args.max_latency_ms,
-                          queue_high_water=args.queue_high_water,
-                          default_deadline_ms=args.deadline_ms)
+    try:
+        config = ServerConfig(workers=args.workers, max_batch=args.max_batch,
+                              max_latency_ms=args.max_latency_ms,
+                              queue_high_water=args.queue_high_water,
+                              default_deadline_ms=args.deadline_ms)
+    except ValueError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     server = Server(args.pipeline, config)
     try:
         server.start()

@@ -4,10 +4,7 @@ from repro.encoders.backends import (
     CachedBackend,
     EncoderBackend,
     EncoderBackendError,
-    InProcessTransport,
     LocalBackend,
-    RemoteBackend,
-    TransportError,
     as_backend,
     available_encoder_backends,
     backend_from_spec,
@@ -44,7 +41,6 @@ __all__ = [
     "STYLE_FEATURE_DIM", "EMOTION_FEATURE_DIM",
     # backends
     "EncoderBackend", "EncoderBackendError", "LocalBackend", "CachedBackend",
-    "RemoteBackend", "InProcessTransport", "TransportError",
     "register_encoder_backend", "available_encoder_backends",
     "backend_from_spec", "as_backend", "wrap_encoder", "spec_fingerprint",
     # channels

@@ -6,9 +6,6 @@ The stock kinds — importable and pre-registered:
   :class:`repro.encoders.FrozenPretrainedEncoder` bit-identically.
 * ``cached`` — :class:`CachedBackend`, a content-hash LRU decorator over any
   other backend (hit/miss stats, bounded memory, ``invalidate()``).
-* ``remote`` — :class:`RemoteBackend`, an embedding-service client shape with
-  request batching/coalescing, retry and circuit breaking, answered by an
-  in-process dummy transport.
 
 Select one per experiment with ``ExperimentConfig.encoder_backend`` (or
 ``REPRO_ENCODER_BACKEND``), construct from an artifact spec with
@@ -28,19 +25,12 @@ from repro.encoders.backends.base import (
 )
 from repro.encoders.backends.cached import CachedBackend
 from repro.encoders.backends.local import LocalBackend
-from repro.encoders.backends.remote import (
-    EncoderTransport,
-    InProcessTransport,
-    RemoteBackend,
-    TransportError,
-)
 
 __all__ = [
     "EncoderBackend", "EncoderBackendError", "ENCODER_BACKENDS",
     "register_encoder_backend", "available_encoder_backends",
     "backend_from_spec", "wrap_encoder", "spec_fingerprint",
-    "LocalBackend", "CachedBackend", "RemoteBackend",
-    "EncoderTransport", "InProcessTransport", "TransportError",
+    "LocalBackend", "CachedBackend",
 ]
 
 

@@ -21,9 +21,8 @@ a remote embedding service are all interchangeable as long as they answer
   streaming-refresh invalidation) that default to no-ops.
 
 Register new kinds with :func:`register_encoder_backend`; the stock kinds are
-``local`` (:class:`~repro.encoders.backends.local.LocalBackend`), ``cached``
-(:class:`~repro.encoders.backends.cached.CachedBackend`) and ``remote``
-(:class:`~repro.encoders.backends.remote.RemoteBackend`).
+``local`` (:class:`~repro.encoders.backends.local.LocalBackend`) and
+``cached`` (:class:`~repro.encoders.backends.cached.CachedBackend`).
 """
 
 from __future__ import annotations

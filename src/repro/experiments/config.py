@@ -48,9 +48,8 @@ class ExperimentConfig:
     dtype: str = "float64"
     #: encoder backend serving the ``plm`` feature channel — a kind from
     #: :func:`repro.encoders.available_encoder_backends` ("local" is the
-    #: bit-for-bit default; "cached" memoises repeated windows; "remote"
-    #: exercises the embedding-service client).  ``REPRO_ENCODER_BACKEND``
-    #: overrides it in the default configs.
+    #: bit-for-bit default; "cached" memoises repeated windows).
+    #: ``REPRO_ENCODER_BACKEND`` overrides it in the default configs.
     encoder_backend: str = "local"
     #: keyword options for the backend's ``from_encoder`` constructor
     #: (e.g. ``{"max_entries": 512}`` for "cached")

@@ -17,10 +17,13 @@ spawn-context worker processes with robustness as the contract:
   before the sweep proceeds; a SIGKILLed sweep resumes skipping completed
   cells (``resume=True``) with the skipped results digest-verified, and a
   journal from a different cell grid is refused readably.
-* **Supervised.**  Worker death (crash, ``SIGKILL``, an injected
-  ``orchestrate.cell`` fault raising ``SystemExit``) is detected by liveness
-  polling; the slot respawns within a bounded restart budget and the cell it
-  held is re-dispatched — zero lost cells.  Per-cell failures are retried
+* **Supervised.**  Cells run on a
+  :class:`repro.reliability.pool.SupervisedPool`, one cell per idle worker.
+  Worker death (crash, ``SIGKILL``, an injected ``orchestrate.cell`` fault
+  raising ``SystemExit``) is detected by the pool's liveness polling; the
+  slot respawns within a bounded restart budget (and retires once it is
+  spent) and the cell it held is re-dispatched — zero lost cells.  Per-cell
+  failures are retried
   with the seeded backoff of a :class:`repro.reliability.RetryPolicy`, and a
   per-cell wall-clock watchdog (``cell_timeout_s``) kills a wedged worker
   instead of wedging the sweep.
@@ -42,9 +45,7 @@ from __future__ import annotations
 
 import importlib
 import json
-import multiprocessing
 import os
-import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,7 +53,8 @@ from typing import Callable
 
 from repro.experiments.journal import RunJournal
 from repro.reliability.durable import sha256_bytes
-from repro.reliability.faults import fault_point, install_plan
+from repro.reliability.faults import fault_point
+from repro.reliability.pool import SupervisedPool, check_max_restarts
 from repro.reliability.retry import RetryPolicy
 
 
@@ -406,6 +408,9 @@ def table_cell_specs(tables=None, config: dict | None = None) -> list[CellSpec]:
     if unknown:
         raise ValueError(f"unknown table(s) {unknown}; available: "
                          f"{sorted(TABLE_CELLS)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"table(s) {repeated} named more than once")
     overrides = dict(config or {})
     return [CellSpec(cell_id=name, kind="table",
                      params={"table": name, "config": overrides})
@@ -426,10 +431,8 @@ class OrchestratorConfig:
     #: per-cell wall-clock watchdog; a cell over budget costs one attempt and
     #: its worker is killed + respawned (None = unbounded)
     cell_timeout_s: float | None = None
-    start_method: str = "spawn"
-    #: total worker respawns allowed before the sweep declares itself failed
+    #: total worker respawns allowed; a slot retires once they are spent
     max_restarts: int = 8
-    poll_interval_s: float = 0.05
     #: modules imported in every worker before cells run (test cell kinds,
     #: custom registrations); must be importable from the worker's sys.path
     worker_modules: tuple[str, ...] = ()
@@ -442,12 +445,9 @@ class OrchestratorConfig:
     def __post_init__(self):
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = serial in-process)")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
+        check_max_restarts(self.max_restarts)
         if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
             raise ValueError("cell_timeout_s must be positive")
-        if self.start_method not in ("spawn", "fork", "forkserver"):
-            raise ValueError(f"unknown start_method '{self.start_method}'")
         if self.retry is None:
             self.retry = RetryPolicy(attempts=2, base_delay_s=0.05,
                                      max_delay_s=1.0, retry_on=(Exception,))
@@ -518,7 +518,7 @@ class _CellState:
     """Supervisor-side bookkeeping for one not-yet-finished cell."""
 
     __slots__ = ("spec", "fingerprint", "attempts", "delays", "not_before",
-                 "last_error")
+                 "last_error", "started")
 
     def __init__(self, spec: CellSpec, fingerprint: str, policy: RetryPolicy):
         self.spec = spec
@@ -527,31 +527,8 @@ class _CellState:
         self.delays = policy.delays()
         self.not_before = 0.0
         self.last_error: str | None = None
-
-
-class _Slot:
-    """Supervisor-side record of one worker process."""
-
-    __slots__ = ("id", "process", "queue", "ready", "pid", "spawns", "running",
-                 "started", "retired")
-
-    def __init__(self, slot_id: int):
-        self.id = slot_id
-        self.process = None
-        self.queue = None
-        self.ready = False
-        self.pid = None
-        self.spawns = 0
-        self.running: _CellState | None = None
+        #: monotonic dispatch time of the running attempt (cell watchdog)
         self.started = 0.0
-        self.retired = False
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    def idle(self) -> bool:
-        return (not self.retired and self.ready and self.running is None
-                and self.alive())
 
 
 def run_sweep(specs, config: OrchestratorConfig | None = None,
@@ -658,35 +635,17 @@ def _run_serial(todo, config, journal, fingerprints, outcomes) -> None:
 # Supervised process-pool executor                                             #
 # --------------------------------------------------------------------------- #
 def _run_pool(todo, config, journal, fingerprints, outcomes) -> None:
-    from queue import Empty
-
     policy = config.retry
-    ctx = multiprocessing.get_context(config.start_method)
-    result_q = ctx.Queue()
-    slots = [_Slot(i) for i in range(min(config.jobs, len(todo)))]
+    pool = SupervisedPool(min(config.jobs, len(todo)), _sweep_worker_setup,
+                          (tuple(config.worker_modules),),
+                          max_restarts=config.max_restarts,
+                          fault_plans=config.fault_plans,
+                          name="repro-sweep-worker")
     states = {spec.cell_id: _CellState(spec, fingerprints[spec.cell_id], policy)
               for spec in todo}
     ready_queue: deque[_CellState] = deque(states[s.cell_id] for s in todo)
+    running: dict[int, _CellState] = {}  # slot id -> the cell it holds
     finished: set[str] = set()
-    restarts_used = 0
-
-    def spawn(slot: _Slot) -> None:
-        slot.queue = ctx.Queue()
-        slot.ready = False
-        slot.pid = None
-        options = {
-            "worker_modules": tuple(config.worker_modules),
-            # chaos plans arm the first incarnation only (see OrchestratorConfig)
-            "fault_plan": ((config.fault_plans or {}).get(slot.id)
-                           if slot.spawns == 0 else None),
-        }
-        slot.spawns += 1
-        slot.process = ctx.Process(
-            target=_sweep_worker_main,
-            args=(slot.id, slot.queue, result_q, options),
-            name=f"repro-sweep-worker-{slot.id}", daemon=True)
-        slot.process.start()
-        slot.pid = slot.process.pid
 
     def finish_done(state: _CellState, result, elapsed: float) -> None:
         if journal is not None:
@@ -718,104 +677,73 @@ def _run_pool(todo, config, journal, fingerprints, outcomes) -> None:
         finished.add(state.spec.cell_id)
         config._progress(outcomes[state.spec.cell_id].describe())
 
-    def retire_or_respawn(slot: _Slot) -> None:
-        nonlocal restarts_used
-        if restarts_used < config.max_restarts:
-            restarts_used += 1
-            spawn(slot)
-        else:
-            slot.retired = True
-            slot.process = None
-
-    def handle_result(message) -> None:
+    def handle(message) -> None:
         kind = message[0]
-        if kind == "ready":
-            _, worker_id, pid = message
-            slot = slots[worker_id]
-            if slot.pid == pid:
-                slot.ready = True
-            return
         if kind == "fatal":
             _, worker_id, reason = message
             raise SweepFailed(
                 f"sweep worker {worker_id} cannot start: {reason}")
+        if kind == "died":
+            # A dead worker's cell costs one attempt and is re-dispatched.
+            _, worker_id, exitcode, _respawned = message
+            state = running.pop(worker_id, None)
+            if state is not None:
+                fail_attempt(state, f"worker died (exit {exitcode}) "
+                                    "while running this cell")
+            return
         _, worker_id, cell_id, status, payload, elapsed = message
-        slot = slots[worker_id]
-        if slot.running is None or slot.running.spec.cell_id != cell_id:
+        state = running.get(worker_id)
+        if state is None or state.spec.cell_id != cell_id:
             return  # stale result from a worker we already gave up on
-        state = slot.running
-        slot.running = None
+        del running[worker_id]
         if status == "ok":
             finish_done(state, payload, elapsed)
         else:
             fail_attempt(state, str(payload))
 
-    def drain_results() -> None:
-        while True:
-            try:
-                handle_result(result_q.get_nowait())
-            except Empty:
-                return
-
     try:
-        for slot in slots:
-            spawn(slot)
+        pool.start()
         while len(finished) < len(todo):
-            # 1. Results first: never mistake a finished worker for a dead one.
-            try:
-                message = result_q.get(timeout=config.poll_interval_s)
-            except (Empty, OSError, ValueError):
-                message = None
+            message = pool.receive()
             if message is not None:
-                handle_result(message)
+                handle(message)
                 continue  # drain bursts before paying for liveness checks
+            for event in pool.reap():
+                handle(event)
 
             now = time.monotonic()
-            for slot in slots:
-                if slot.retired:
+            for slot in pool.slots:
+                state = running.get(slot.id)
+                if state is not None:
+                    # Per-cell wall-clock watchdog: kill the wedged worker;
+                    # the next reap respawns it.
+                    if (config.cell_timeout_s is not None
+                            and now - state.started > config.cell_timeout_s):
+                        del running[slot.id]
+                        pool.kill(slot.id)
+                        fail_attempt(state, f"cell exceeded its "
+                                            f"{config.cell_timeout_s:g}s "
+                                            "wall-clock budget; worker killed")
                     continue
-                # 2. Liveness: a dead worker's cell costs one attempt and is
-                #    re-dispatched; the slot respawns within the budget.
-                if slot.process is not None and not slot.process.is_alive():
-                    drain_results()  # its last result may still be in flight
-                    if slot.process is None or slot.process.is_alive():
-                        continue  # the drain resolved it after all
-                    exitcode = slot.process.exitcode
-                    state, slot.running = slot.running, None
-                    retire_or_respawn(slot)
-                    if state is not None:
-                        fail_attempt(state, f"worker died (exit {exitcode}) "
-                                            "while running this cell")
-                    continue
-                # 3. Per-cell wall-clock watchdog: kill the wedged worker.
-                if (config.cell_timeout_s is not None and slot.running is not None
-                        and now - slot.started > config.cell_timeout_s):
-                    state, slot.running = slot.running, None
-                    _kill(slot.process)
-                    retire_or_respawn(slot)
-                    fail_attempt(state, f"cell exceeded its "
-                                        f"{config.cell_timeout_s:g}s wall-clock "
-                                        "budget; worker killed")
-                    continue
-                # 4. Dispatch to idle, ready workers.
-                if slot.idle() and ready_queue:
+                if slot.ready and slot.alive() and ready_queue:
                     state = _next_dispatchable(ready_queue, now)
                     if state is None:
                         continue
                     state.attempts += 1
                     if journal is not None:
                         journal.begin(state.spec.cell_id, state.fingerprint)
-                    slot.running = state
-                    slot.started = now
-                    slot.queue.put((state.spec, state.attempts))
-            if all(slot.retired for slot in slots) and len(finished) < len(todo):
+                    state.started = now
+                    running[slot.id] = state
+                    pool.submit(slot.id, state.spec.cell_id,
+                                (state.spec, state.attempts))
+            if all(slot.retired for slot in pool.slots) and len(finished) < len(todo):
                 raise SweepFailed(
                     f"all workers retired after the restart budget "
                     f"({config.max_restarts}) was spent with "
                     f"{len(todo) - len(finished)} cell(s) unfinished; the "
                     "journal keeps completed cells — fix the fault and resume")
     finally:
-        _shutdown(slots, result_q)
+        pool.shutdown()
 
 
 def _next_dispatchable(ready_queue: deque, now: float):
@@ -828,89 +756,22 @@ def _next_dispatchable(ready_queue: deque, now: float):
     return None
 
 
-def _kill(process) -> None:
-    if process is None:
-        return
-    process.terminate()
-    process.join(timeout=2.0)
-    if process.is_alive():  # pragma: no cover - terminate is normally enough
-        process.kill()
-        process.join(timeout=2.0)
-
-
-def _shutdown(slots, result_q) -> None:
-    for slot in slots:
-        if slot.alive():
-            try:
-                slot.queue.put(None)  # drain queued work, then exit
-            except (OSError, ValueError):  # pragma: no cover - queue closed
-                pass
-    deadline = time.monotonic() + 10.0
-    for slot in slots:
-        if slot.process is not None:
-            slot.process.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if slot.process.is_alive():
-                _kill(slot.process)
-        if slot.queue is not None:
-            slot.queue.cancel_join_thread()
-    result_q.cancel_join_thread()
-
-
 # --------------------------------------------------------------------------- #
 # Worker process                                                               #
 # --------------------------------------------------------------------------- #
-def _parent_alive() -> bool:
-    parent = multiprocessing.parent_process()
-    return parent is None or parent.is_alive()
+def _sweep_worker_setup(worker_id: int, worker_modules: tuple[str, ...]):
+    """Prepare a pool worker for cells; return the per-cell handler.
 
-
-def _sweep_worker_main(worker_id: int, task_queue, result_queue,
-                       options: dict) -> None:
-    """Entry point of one sweep worker (``spawn``- and ``fork``-safe).
-
-    Failure semantics mirror :mod:`repro.serve.worker`: per-cell errors are
-    caught and reported as ``"error"`` results; anything harsher
+    Per-cell errors come back as ``"error"`` results; anything harsher
     (``SystemExit`` from an injected ``orchestrate.cell`` fault, a signal, an
-    OOM kill) terminates the process and is detected by the supervisor's
-    liveness check, which respawns the slot and re-dispatches the cell.
+    OOM kill) ends the process, and the sweep re-dispatches the cell.
     """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
+    fault_point("orchestrate.worker", worker=worker_id)
+    for name in worker_modules:
+        importlib.import_module(name)
+    return _run_cell_job
 
-    from queue import Empty
 
-    plan = options.get("fault_plan")
-    if plan is not None:
-        install_plan(plan)
-    try:
-        fault_point("orchestrate.worker", worker=worker_id)
-        for name in options.get("worker_modules", ()):
-            importlib.import_module(name)
-    except Exception as error:  # noqa: BLE001 - reported to the supervisor
-        result_queue.put(("fatal", worker_id,
-                          f"{type(error).__name__}: {error}"))
-        return
-    result_queue.put(("ready", worker_id, os.getpid()))
-
-    while True:
-        try:
-            job = task_queue.get(timeout=1.0)
-        except Empty:
-            if not _parent_alive():  # orphaned: the orchestrator is gone
-                return
-            continue
-        if job is None:  # shutdown sentinel
-            return
-        spec, attempt = job
-        started = time.perf_counter()
-        try:
-            payload = run_cell(spec, attempt=attempt)
-        except Exception as error:  # noqa: BLE001 - isolated per cell
-            result_queue.put(("result", worker_id, spec.cell_id, "error",
-                              f"{type(error).__name__}: {error}",
-                              time.perf_counter() - started))
-            continue
-        result_queue.put(("result", worker_id, spec.cell_id, "ok", payload,
-                          time.perf_counter() - started))
+def _run_cell_job(job) -> tuple[str, dict]:
+    spec, attempt = job
+    return "ok", run_cell(spec, attempt=attempt)

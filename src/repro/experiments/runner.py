@@ -132,7 +132,7 @@ def prepare_data(config: ExperimentConfig) -> DataBundle:
     # The backend is the single ``plm`` service every consumer shares: the
     # three loaders, the channel objects and (via export_pipeline) the
     # serving artifact.  "local" is bit-identical to calling the encoder
-    # directly; "cached"/"remote" are bit-identical too (pinned by
+    # directly; "cached" is bit-identical too (pinned by
     # tests/encoders/test_backends.py), just with different operational
     # behaviour.
     backend = wrap_encoder(config.encoder_backend, encoder,

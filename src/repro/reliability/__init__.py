@@ -20,6 +20,9 @@ artifacts, flaky I/O, mid-epoch crashes, poisoned requests) is handled here.
 * :mod:`repro.reliability.watchdog` — ``SIGALRM`` wall-clock guard turning a
   hang into a readable :class:`WatchdogTimeout`; the chaos and server test
   suites run every test under one.
+* :mod:`repro.reliability.pool` — the one supervised spawn-process pool
+  (respawn under a restart budget, drain-before-death liveness) under
+  ``repro.serve.Server`` and the parallel sweep.
 
 Downstream: :func:`repro.nn.save_checkpoint` / ``load_checkpoint`` refuse
 corrupt archives, ``repro.serve`` artifacts verify end-to-end, and

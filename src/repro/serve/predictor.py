@@ -114,7 +114,7 @@ class Predictor:
         self.use_fused = use_fused
         self.max_text_chars = max_text_chars
         # Frozen-encoder calls go through a short transient-error retry; the
-        # in-process stand-in never needs it, but remote encoder backends and
+        # in-process stand-in never needs it, but custom encoder backends and
         # the chaos suite exercise the path.  An optional circuit breaker
         # wraps the *retried* call, so a persistently failing backend trips
         # after `failure_threshold` exhausted retry rounds and degrades to
@@ -454,7 +454,7 @@ class Predictor:
         """Live state of the pipeline's encoder backend.
 
         Kind, spec fingerprint and backend-specific counters (cache hit rate,
-        RPC rounds, transport circuit state...), plus the predictor-level
+        evictions...), plus the predictor-level
         encoder circuit when one is installed — the block ``/health`` and
         ``/stats`` surface per replica.
         """

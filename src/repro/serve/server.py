@@ -13,14 +13,17 @@ it, built for traffic that does not stop when a worker does:
   :class:`MicroBatcher` (flush on ``max_batch`` or on the oldest ticket
   waiting ``max_latency_ms``), sheds tickets whose deadline already passed,
   and assigns each batch to the least-loaded worker.
-* **Supervised worker pool** — each worker is an OS process that loads the
-  artifact once (checksum-verified) and scores batches through the fused
-  ``no_grad`` path with a :class:`repro.reliability.CircuitBreaker` around
-  the frozen-encoder dependency.  The supervisor detects worker death
-  (crash, ``SIGKILL``, or an injected ``serve.worker.step`` fault), respawns
-  the slot and **re-dispatches every batch the dead worker held** — scoring
-  is pure, duplicates are dropped at the collector, and no ticket is ever
-  silently lost.
+* **Supervised worker pool** — a :class:`repro.reliability.pool.SupervisedPool`
+  of OS processes, each of which loads the artifact once (checksum-verified)
+  and scores batches through the fused ``no_grad`` path with a
+  :class:`repro.reliability.CircuitBreaker` around the frozen-encoder
+  dependency (:mod:`repro.serve.worker`).  The pool detects worker death
+  (crash, ``SIGKILL``, or an injected ``serve.worker.step`` fault) after
+  draining the results already sent, and respawns the slot; the server then
+  **re-dispatches every batch the dead worker still held** — scoring is
+  pure, duplicates are dropped at the collector, and no ticket is ever
+  silently lost.  A death after the restart budget is spent fails the
+  server readably.
 * **Backpressure** — a bounded queue: once the number of unresolved tickets
   reaches ``queue_high_water``, :meth:`submit_ticket` raises
   :class:`ServerOverloaded` instead of growing the queue without bound.
@@ -42,18 +45,17 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import multiprocessing
 import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from queue import Empty
+from dataclasses import dataclass
 
+from repro.reliability.pool import SupervisedPool, check_max_restarts
 from repro.serve.pipeline import read_manifest, verify_pipeline
 from repro.serve.predictor import Prediction
 from repro.serve.stats import ServeStats
-from repro.serve.worker import BatchJob, worker_main
+from repro.serve.worker import BatchJob, worker_setup
 
 
 class ServerOverloaded(RuntimeError):
@@ -73,24 +75,10 @@ class ServerConfig:
     #: deadline applied to tickets submitted without one (None = no deadline)
     default_deadline_ms: float | None = None
     max_text_chars: int = 100_000
-    #: multiprocessing start method; "spawn" is robust everywhere, "fork" is
-    #: faster to boot but unsafe once the supervisor threads are running
-    start_method: str = "spawn"
     #: total respawns allowed before the server declares itself failed
     max_restarts: int = 8
-    #: collector wake-up cadence for liveness checks
-    poll_interval_s: float = 0.05
     verify_artifact: bool = True
-    use_fused: bool = True
     bucket_size: int | None = None
-    #: kwargs for each worker's frozen-encoder CircuitBreaker
-    breaker: dict = field(default_factory=dict)
-    #: wrap each worker's encoder backend in a CachedBackend; ``True`` for
-    #: defaults or a dict of CachedBackend kwargs (``max_entries``,
-    #: ``max_bytes``).  Serving traffic repeats windows (health probes, hot
-    #: stories, donor-substituted rows), and cache hits are bit-identical by
-    #: construction (content-hash keys).
-    encoder_cache: "bool | dict" = False
     #: chaos harness: per-worker-slot FaultPlans shipped to the workers.
     #: Only the FIRST incarnation of a slot gets its plan — a respawned
     #: worker is healthy, so an injected kill exercises exactly one death.
@@ -108,8 +96,9 @@ class ServerConfig:
             raise ValueError("max_latency_ms must be non-negative")
         if self.queue_high_water < 1:
             raise ValueError("queue_high_water must be >= 1")
-        if self.start_method not in ("spawn", "fork", "forkserver"):
-            raise ValueError(f"unknown start_method '{self.start_method}'")
+        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
+            raise ValueError("default_deadline_ms must be positive")
+        check_max_restarts(self.max_restarts)
 
 
 class ServerTicket:
@@ -187,25 +176,6 @@ class _Inflight:
     slot: int = -1
 
 
-class _WorkerSlot:
-    """Supervisor-side record of one worker process."""
-
-    __slots__ = ("id", "process", "queue", "outstanding", "ready", "pid",
-                 "spawns")
-
-    def __init__(self, slot_id: int):
-        self.id = slot_id
-        self.process = None
-        self.queue = None
-        self.outstanding: dict[int, _Inflight] = {}
-        self.ready = False
-        self.pid: int | None = None
-        self.spawns = 0
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-
 class Server:
     """Supervised worker-pool serving over one pipeline artifact directory."""
 
@@ -220,8 +190,14 @@ class Server:
         self._pending: deque[ServerTicket] = deque()
         self._inflight: dict[int, _Inflight] = {}
         self._unresolved = 0
-        self._slots: list[_WorkerSlot] = []
-        self._restarts_used = 0
+        self._pool = SupervisedPool(
+            self.config.workers, worker_setup,
+            (self.artifact_path, self.config.bucket_size),
+            max_restarts=self.config.max_restarts,
+            fault_plans=self.config.fault_plans, name="repro-serve-worker")
+        #: per worker slot: the dispatched batches it has not answered yet
+        self._outstanding: list[dict[int, _Inflight]] = [
+            {} for _ in range(self.config.workers)]
         self._ticket_ids = itertools.count()
         self._batch_ids = itertools.count()
         self._state = "new"
@@ -229,8 +205,6 @@ class Server:
         self._stop_requested = False
         self._flush_requested = False
         self._collector_stop = threading.Event()
-        self._result_q = None
-        self._ctx = None
         self._dispatcher: threading.Thread | None = None
         self._collector: threading.Thread | None = None
         # Filled from the manifest on start()
@@ -250,12 +224,8 @@ class Server:
         if self.config.verify_artifact:
             verify_pipeline(self.artifact_path)  # fail fast in the parent too
         self._read_manifest()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
-        self._result_q = self._ctx.Queue()
         with self._lock:
-            self._slots = [_WorkerSlot(i) for i in range(self.config.workers)]
-            for slot in self._slots:
-                self._spawn_locked(slot)
+            self._pool.start()
             self._state = "running"
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             name="repro-serve-dispatch",
@@ -281,37 +251,9 @@ class Server:
         from repro.encoders.backends import spec_fingerprint
 
         backend_spec = manifest["encoder_backend"]
-        state = {"kind": backend_spec.get("kind"),
-                 "fingerprint": spec_fingerprint(backend_spec)}
-        if self.config.encoder_cache:
-            state["worker_cache"] = "enabled"
-        self.stats.set_encoder_backend(state)
-
-    def _spawn_locked(self, slot: _WorkerSlot) -> None:
-        slot.queue = self._ctx.Queue()
-        slot.ready = False
-        slot.pid = None
-        options = {
-            "breaker": dict(self.config.breaker),
-            "use_fused": self.config.use_fused,
-            "bucket_size": self.config.bucket_size,
-            "default_domain": self.default_domain,
-            "encoder_cache": (dict(self.config.encoder_cache)
-                              if isinstance(self.config.encoder_cache, dict)
-                              else self.config.encoder_cache),
-            # chaos plans arm the first incarnation only (see ServerConfig)
-            "fault_plan": ((self.config.fault_plans or {}).get(slot.id)
-                           if slot.spawns == 0 else None),
-        }
-        slot.spawns += 1
-        slot.process = self._ctx.Process(
-            target=worker_main,
-            args=(slot.id, self.artifact_path, slot.queue, self._result_q,
-                  options),
-            name=f"repro-serve-worker-{slot.id}",
-            daemon=True)
-        slot.process.start()
-        slot.pid = slot.process.pid
+        self.stats.set_encoder_backend({
+            "kind": backend_spec.get("kind"),
+            "fingerprint": spec_fingerprint(backend_spec)})
 
     def wait_ready(self, timeout_s: float = 30.0) -> bool:
         """Block until every worker has loaded the artifact (or timeout)."""
@@ -320,7 +262,7 @@ class Server:
             with self._lock:
                 if self._failed_reason is not None:
                     raise RuntimeError(self._failed_reason)
-                if all(slot.ready for slot in self._slots):
+                if all(slot.ready for slot in self._pool.slots):
                     return True
             time.sleep(0.01)
         return False
@@ -345,26 +287,16 @@ class Server:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=timeout_s)
         with self._lock:
-            for slot in self._slots:
-                if slot.alive():
-                    slot.queue.put(None)  # after any queued jobs: drain, then exit
+            self._pool.close()  # after any queued jobs: drain, then exit
         # Let the collector resolve in-flight batches (and detect workers that
         # die on the way out) until the queue is empty or time runs out.
         while time.monotonic() < deadline:
             with self._lock:
-                if not self._inflight or not any(s.alive() for s in self._slots):
+                if not self._inflight or not any(
+                        slot.alive() for slot in self._pool.slots):
                     break
             time.sleep(0.01)
-        for slot in self._slots:
-            remaining = max(deadline - time.monotonic(), 0.1)
-            if slot.process is not None:
-                slot.process.join(timeout=remaining)
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                    slot.process.join(timeout=1.0)
-                    if slot.process.is_alive():  # pragma: no cover - last resort
-                        slot.process.kill()
-                        slot.process.join(timeout=1.0)
+        self._pool.shutdown(max(deadline - time.monotonic(), 0.1))
         self._collector_stop.set()
         if self._collector is not None:
             self._collector.join(timeout=5.0)
@@ -375,12 +307,8 @@ class Server:
             for entry in self._inflight.values():
                 stranded.extend(entry.tickets)
             self._inflight.clear()
-            for slot in self._slots:
-                slot.outstanding.clear()
-                if slot.queue is not None:
-                    slot.queue.cancel_join_thread()
-            if self._result_q is not None:
-                self._result_q.cancel_join_thread()
+            for outstanding in self._outstanding:
+                outstanding.clear()
             self._state = "stopped"
         for ticket in stranded:
             self._resolve(ticket, Prediction.failure(
@@ -606,28 +534,20 @@ class Server:
         return entries
 
     def _assign_locked(self, entry: _Inflight) -> None:
-        candidates = [slot for slot in self._slots if slot.process is not None]
-        if not candidates:  # pragma: no cover - only after a failed start
-            self._inflight.pop(entry.job.batch_id, None)
-            for ticket in entry.tickets:
-                self._resolve(ticket, Prediction.failure(
-                    "no workers available",
-                    domain=self._domain_name(ticket.domain)), "failed")
-            return
-        slot = min(candidates, key=lambda s: len(s.outstanding))
-        entry.slot = slot.id
-        slot.outstanding[entry.job.batch_id] = entry
-        slot.queue.put(entry.job)
+        if self._failed_reason is not None:
+            return  # _fail_locked already resolved this batch's tickets
+        slot = min(range(len(self._outstanding)),
+                   key=lambda index: len(self._outstanding[index]))
+        entry.slot = slot
+        self._outstanding[slot][entry.job.batch_id] = entry
+        self._pool.submit(slot, entry.job.batch_id, entry.job)
 
     # ------------------------------------------------------------------ #
     # Collector / supervisor                                               #
     # ------------------------------------------------------------------ #
     def _collect_loop(self) -> None:
         while True:
-            try:
-                message = self._result_q.get(timeout=self.config.poll_interval_s)
-            except (Empty, OSError, ValueError):
-                message = None
+            message = self._pool.receive()
             if message is not None:
                 self._handle_message(message)
                 continue  # drain bursts before paying for liveness checks
@@ -635,28 +555,47 @@ class Server:
             if self._collector_stop.is_set():
                 return
 
+    def _check_liveness(self) -> None:
+        answered = []
+        with self._lock:
+            if self._state != "running" or self._stop_requested:
+                return
+            # reap hands over the results sent before a death first; claiming
+            # them here keeps the death from re-dispatching answered batches,
+            # and respawn plus re-dispatch stay atomic against the dispatcher.
+            for event in self._pool.reap():
+                if event[0] == "result":
+                    answered.append((event, self._claim_locked(event)))
+                elif event[0] == "died":
+                    self._worker_died_locked(*event[1:])
+                else:
+                    self._handle_message(event)  # a "fatal" start-up report
+        for event, entry in answered:  # resolve tickets outside the lock
+            self._deliver(event, entry)
+
     def _handle_message(self, message) -> None:
-        kind = message[0]
-        if kind == "ready":
-            _, worker_id, pid = message
-            with self._lock:
-                slot = self._slots[worker_id]
-                if slot.pid == pid:
-                    slot.ready = True
-            return
-        if kind == "fatal":
+        if message[0] == "fatal":
             _, worker_id, reason = message
             self._fail(f"worker {worker_id} cannot start: {reason}")
             return
-        _, worker_id, batch_id, status, payload, _elapsed_ms = message
         with self._lock:
-            self._slots[worker_id].outstanding.pop(batch_id, None)
-            entry = self._inflight.pop(batch_id, None)
-            if entry is not None and entry.slot != worker_id and 0 <= entry.slot < len(self._slots):
-                # resolved by a duplicate dispatch: clear the other copy too
-                self._slots[entry.slot].outstanding.pop(batch_id, None)
+            entry = self._claim_locked(message)
+        self._deliver(message, entry)
+
+    def _claim_locked(self, message) -> _Inflight | None:
+        """Take the answered batch out of the books (``None`` if stale)."""
+        _, worker_id, batch_id = message[:3]
+        self._outstanding[worker_id].pop(batch_id, None)
+        entry = self._inflight.pop(batch_id, None)
+        if entry is not None and entry.slot != worker_id and entry.slot >= 0:
+            # resolved by a duplicate dispatch: clear the other copy too
+            self._outstanding[entry.slot].pop(batch_id, None)
+        return entry
+
+    def _deliver(self, message, entry: _Inflight | None) -> None:
         if entry is None:
             return  # duplicate result from a re-dispatched batch
+        status, payload = message[3:5]
         if status == "ok":
             for ticket, row in zip(entry.tickets, payload):
                 self._resolve(ticket, Prediction(
@@ -682,32 +621,21 @@ class Server:
             with self._lock:
                 self._unresolved -= 1
 
-    def _check_liveness(self) -> None:
-        orphaned: list[_Inflight] = []
-        with self._lock:
-            if self._state != "running" or self._stop_requested:
-                return
-            for slot in self._slots:
-                if slot.process is None or slot.process.is_alive():
-                    continue
-                exitcode = slot.process.exitcode
-                self.stats.count("worker_deaths")
-                jobs = list(slot.outstanding.values())
-                slot.outstanding.clear()
-                slot.process = None
-                if self._restarts_used >= self.config.max_restarts:
-                    self._fail_locked(
-                        f"worker {slot.id} died (exit {exitcode}) after the "
-                        f"restart budget ({self.config.max_restarts}) was spent")
-                    return
-                self._restarts_used += 1
-                self.stats.count("worker_restarts")
-                self._spawn_locked(slot)
-                orphaned.extend(jobs)
-            for entry in orphaned:
-                if entry.job.batch_id in self._inflight:  # not resolved yet
-                    self.stats.count("redispatched", len(entry.tickets))
-                    self._assign_locked(entry)
+    def _worker_died_locked(self, worker_id: int, exitcode,
+                            respawned: bool) -> None:
+        self.stats.count("worker_deaths")
+        orphaned = list(self._outstanding[worker_id].values())
+        self._outstanding[worker_id].clear()
+        if not respawned:
+            self._fail_locked(
+                f"worker {worker_id} died (exit {exitcode}) after the "
+                f"restart budget ({self.config.max_restarts}) was spent")
+            return
+        self.stats.count("worker_restarts")
+        for entry in orphaned:
+            if entry.job.batch_id in self._inflight:  # not resolved yet
+                self.stats.count("redispatched", len(entry.tickets))
+                self._assign_locked(entry)
 
     def _fail(self, reason: str) -> None:
         with self._lock:
@@ -722,8 +650,8 @@ class Server:
         for entry in self._inflight.values():
             stranded.extend(entry.tickets)
         self._inflight.clear()
-        for slot in self._slots:
-            slot.outstanding.clear()
+        for outstanding in self._outstanding:
+            outstanding.clear()
         self._cond.notify_all()
         # Resolution runs callbacks; do it without re-entering per ticket.
         for ticket in stranded:
@@ -736,7 +664,7 @@ class Server:
     # ------------------------------------------------------------------ #
     def worker_pids(self) -> list[int]:
         with self._lock:
-            return [slot.pid for slot in self._slots if slot.alive()]
+            return [slot.pid for slot in self._pool.slots if slot.alive()]
 
     def health(self) -> dict:
         """Pool liveness + the unified queue ledger (ServeStats)."""
@@ -746,8 +674,8 @@ class Server:
                 "pid": slot.pid,
                 "alive": slot.alive(),
                 "ready": slot.ready,
-                "outstanding_batches": len(slot.outstanding),
-            } for slot in self._slots]
+                "outstanding_batches": len(self._outstanding[slot.id]),
+            } for slot in self._pool.slots]
             alive = sum(1 for w in workers if w["alive"])
             if self._failed_reason is not None:
                 status = "failed"
@@ -766,7 +694,7 @@ class Server:
                 "domains": list(self.domain_names),
                 "artifact": self.artifact_path,
                 "workers": workers,
-                "restarts_used": self._restarts_used,
+                "restarts_used": self._pool.restarts_used,
                 "pending": len(self._pending),
                 "inflight_batches": len(self._inflight),
                 "queue": self.stats.snapshot(),

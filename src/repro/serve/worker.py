@@ -1,36 +1,25 @@
 """Worker-process side of the serving tier.
 
-Each worker is one OS process: it loads the :class:`repro.serve.Pipeline`
-artifact exactly once (verifying the artifact's checksums first, like any
-other consumer of untrusted disk state), builds a :class:`Predictor` with a
-:class:`repro.reliability.CircuitBreaker` around the frozen-encoder
-dependency, and then drains its task queue batch by batch, scoring through
-the fused ``no_grad`` path.
+The process itself — signal handling, the ``ready``/``fatal`` handshake,
+the job loop, orphan detection — is :func:`repro.reliability.pool.worker_loop`.
+This module supplies what a *serving* worker adds: :func:`worker_setup`
+loads the :class:`repro.serve.Pipeline` artifact exactly once
+(:func:`~repro.serve.load_pipeline` verifies its checksums first), builds a
+:class:`Predictor` with a :class:`repro.reliability.CircuitBreaker` around
+the frozen-encoder dependency, and returns the handler that scores one
+:class:`BatchJob` through the fused ``no_grad`` path.
 
-Protocol (all messages go over the shared result queue, newest-first):
-
-* ``("ready", worker_id, pid)`` — artifact loaded, first batch can be scored.
-* ``("fatal", worker_id, message)`` — the worker cannot start (corrupt
-  artifact, unknown model).  The supervisor treats this as unrecoverable —
-  respawning would fail the same way — and fails the server readably.
-* ``("result", worker_id, batch_id, status, payload, elapsed_ms)`` — one
-  scored (``"ok"``), failed (``"error"``) or deadline-shed (``"expired"``)
-  batch.  ``payload`` is a list of per-row dicts for ``"ok"``, an error
-  string otherwise.
-
-Crash semantics: scoring errors are caught per batch and reported as
-``"error"`` results; anything harsher (``SystemExit`` from an injected
-``serve.worker.step`` fault, a signal, an OOM kill) terminates the process
-and is detected by the supervisor's liveness check, which respawns the
-worker and re-dispatches whatever it held.  Scoring is a pure function of
-the batch, so re-dispatch is idempotent — the collector keeps the first
-result and drops duplicates.
+The handler answers ``("ok", rows)`` with one dict per row, or
+``("expired", message)`` for a batch whose deadline passed before scoring.
+A scoring exception becomes an ``"error"`` result in the pool loop; anything
+harsher (``SystemExit`` from an injected ``serve.worker.step`` fault, a
+signal, an OOM kill) ends the process, and the server re-dispatches whatever
+it held.  Scoring is a pure function of the batch, so re-dispatch is
+idempotent: the collector keeps the first result and drops duplicates.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 from dataclasses import dataclass
 
@@ -48,99 +37,30 @@ class BatchJob:
     deadline: float | None = None
 
 
-def _parent_alive() -> bool:
-    import multiprocessing
-
-    parent = multiprocessing.parent_process()
-    return parent is None or parent.is_alive()
-
-
-def worker_main(worker_id: int, artifact_path: str, task_queue, result_queue,
-                options: dict) -> None:
-    """Entry point of one worker process (``spawn``- and ``fork``-safe).
-
-    ``options`` keys (all optional): ``fault_plan`` (a pickled
-    :class:`repro.reliability.FaultPlan` installed for this worker's whole
-    lifetime), ``breaker`` (:class:`CircuitBreaker` constructor kwargs),
-    ``use_fused``, ``bucket_size``, ``default_domain``, ``encoder_cache``
-    (truthy wraps the pipeline's encoder backend in a per-worker
-    :class:`repro.encoders.CachedBackend`; a dict supplies its kwargs).
-    """
-    # The parent owns Ctrl-C handling; a worker interrupted mid-GEMM would
-    # otherwise die with a KeyboardInterrupt traceback during test teardown.
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-
-    from queue import Empty
-
+def worker_setup(worker_id: int, artifact_path: str, bucket_size: int | None):
+    """Load the artifact in a pool worker; return its batch-scoring handler."""
     from repro.reliability.circuit import CircuitBreaker
-    from repro.reliability.faults import fault_point, install_plan
-    from repro.serve.pipeline import load_pipeline, verify_pipeline
+    from repro.reliability.faults import fault_point
+    from repro.serve.pipeline import load_pipeline
 
-    try:
-        plan = options.get("fault_plan")
-        if plan is not None:
-            install_plan(plan)
-        fault_point("serve.worker.start", worker=worker_id)
-        verify_pipeline(artifact_path)
-        pipeline = load_pipeline(artifact_path)
-        cache = options.get("encoder_cache")
-        if cache:
-            # Per-worker memoisation over the loaded backend; cache hits are
-            # bit-identical by construction (content-hash window keys), so
-            # the cross-worker bit-parity contract is unaffected.
-            from repro.encoders.backends import CachedBackend
+    fault_point("serve.worker.start", worker=worker_id)
+    predictor = load_pipeline(artifact_path).predictor(
+        encoder_breaker=CircuitBreaker(name=f"encoder[worker {worker_id}]"),
+        bucket_size=bucket_size)
 
-            pipeline.encoder = CachedBackend(
-                pipeline.encoder, **(cache if isinstance(cache, dict) else {}))
-        breaker = CircuitBreaker(name=f"encoder[worker {worker_id}]",
-                                 **options.get("breaker", {}))
-        predictor = pipeline.predictor(
-            encoder_breaker=breaker,
-            use_fused=options.get("use_fused", True),
-            bucket_size=options.get("bucket_size"),
-            default_domain=options.get("default_domain", 0))
-    except BaseException as error:  # noqa: BLE001 - reported to the supervisor
-        result_queue.put(("fatal", worker_id,
-                          f"{type(error).__name__}: {error}"))
-        return
-    result_queue.put(("ready", worker_id, os.getpid()))
-
-    while True:
-        try:
-            job = task_queue.get(timeout=1.0)
-        except Empty:
-            if not _parent_alive():  # orphaned: the server process is gone
-                return
-            continue
-        if job is None:  # shutdown sentinel
-            return
-        started = time.perf_counter()
+    def score(job: BatchJob):
         if job.deadline is not None and time.monotonic() >= job.deadline:
-            result_queue.put(("result", worker_id, job.batch_id, "expired",
-                              "deadline expired before the batch was scored",
-                              0.0))
-            continue
-        try:
-            # The chaos harness's primary kill site: a rule raising
-            # SystemExit here terminates the worker mid-stream, exactly
-            # between claiming a batch and scoring it.
-            fault_point("serve.worker.step", worker=worker_id,
-                        batch=job.batch_id, size=len(job.texts))
-            predictions = predictor.predict(job.texts, domains=job.domains)
-        except Exception as error:  # noqa: BLE001 - isolated per batch
-            result_queue.put(("result", worker_id, job.batch_id, "error",
-                              f"{type(error).__name__}: {error}",
-                              (time.perf_counter() - started) * 1e3))
-            continue
-        rows = [{
+            return "expired", "deadline expired before the batch was scored"
+        # The chaos harness's primary kill site: a rule raising SystemExit
+        # here terminates the worker between claiming a batch and scoring it.
+        fault_point("serve.worker.step", worker=worker_id,
+                    batch=job.batch_id, size=len(job.texts))
+        return "ok", [{
             "label": prediction.label,
             "label_name": prediction.label_name,
             "probability_fake": prediction.probability_fake,
             "probabilities": list(prediction.probabilities),
             "domain": prediction.domain,
-        } for prediction in predictions]
-        result_queue.put(("result", worker_id, job.batch_id, "ok", rows,
-                          (time.perf_counter() - started) * 1e3))
+        } for prediction in predictor.predict(job.texts, domains=job.domains)]
+
+    return score

@@ -2,11 +2,8 @@
 
 The contract the serving artifact relies on: ``local`` wraps the frozen
 encoder without touching its math, ``cached`` memoises exact windows (hits
-are bit-exact by construction), ``remote`` chunks and coalesces but scatters
-back the same bytes, and every backend round-trips through its JSON spec via
-``backend_from_spec``.  Reliability behaviour (retry of transient transport
-faults, circuit-breaking a dead service) rides the same harness the serving
-tier uses: the ``encoder.transport`` fault site.
+are bit-exact by construction), and every backend round-trips through its
+JSON spec via ``backend_from_spec``.
 """
 
 import numpy as np
@@ -18,11 +15,7 @@ from repro.encoders.backends import (
     CachedBackend,
     EncoderBackend,
     EncoderBackendError,
-    EncoderTransport,
-    InProcessTransport,
     LocalBackend,
-    RemoteBackend,
-    TransportError,
     as_backend,
     available_encoder_backends,
     backend_from_spec,
@@ -30,7 +23,6 @@ from repro.encoders.backends import (
     spec_fingerprint,
     wrap_encoder,
 )
-from repro.reliability import CircuitBreaker, CircuitOpen, FaultPlan, RetryPolicy, inject
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +37,6 @@ def window():
     token_ids[:, 7:] = 0  # padded tail
     mask = (token_ids != 0).astype(np.float64)
     return token_ids, mask
-
-
-def _fast_retry(attempts=3):
-    return RetryPolicy(attempts=attempts, base_delay_s=0.0, max_delay_s=0.0,
-                       jitter=0.0)
 
 
 class TestLocalBackend:
@@ -176,99 +163,19 @@ class TestCachedBackend:
             CachedBackend.from_encoder(encoder, max_bytes=0)
 
 
-class TestRemoteBackend:
-    def test_chunking_is_bit_identical(self, encoder, window):
-        token_ids, mask = window
-        backend = RemoteBackend.in_process(encoder, max_rows_per_request=2)
-        np.testing.assert_array_equal(backend.encode(token_ids, mask),
-                                      encoder.encode(token_ids, mask))
-        stats = backend.stats()
-        assert stats["requests"] == 4  # ceil(7 / 2) RPCs
-        assert stats["rows_sent"] == 7
-
-    def test_coalescing_sends_duplicates_once(self, encoder):
-        rng = np.random.default_rng(3)
-        base = rng.integers(1, 60, size=(3, 6))
-        token_ids = base[[0, 1, 0, 2, 1, 0]]  # duplicates of every row
-        backend = RemoteBackend.in_process(encoder)
-        states = backend.encode(token_ids)
-        np.testing.assert_array_equal(states, encoder.encode(token_ids))
-        stats = backend.stats()
-        assert stats["rows_sent"] == 3
-        assert stats["rows_coalesced"] == 3
-        np.testing.assert_array_equal(states[0], states[2])
-
-    def test_coalescing_disabled_sends_every_row(self, encoder):
-        token_ids = np.array([[1, 2], [1, 2], [1, 2]])
-        backend = RemoteBackend.in_process(encoder, coalesce=False)
-        np.testing.assert_array_equal(backend.encode(token_ids),
-                                      encoder.encode(token_ids))
-        assert backend.stats()["rows_sent"] == 3
-
-    def test_transient_transport_fault_is_retried(self, encoder, window):
-        token_ids, mask = window
-        backend = RemoteBackend.in_process(encoder, retry=_fast_retry(attempts=3))
-        plan = FaultPlan().fail("encoder.transport",
-                                error=TransportError("wire dropped"), times=2)
-        with inject(plan):
-            states = backend.encode(token_ids, mask)
-        np.testing.assert_array_equal(states, encoder.encode(token_ids, mask))
-        assert plan.fired == 2
-        assert backend.transport.requests == 3  # two drops + one success
-
-    def test_persistently_dead_service_trips_the_breaker(self, encoder, window):
-        token_ids, mask = window
-        backend = RemoteBackend.in_process(
-            encoder, retry=_fast_retry(attempts=2),
-            breaker=CircuitBreaker(name="t", failure_threshold=2))
-        plan = FaultPlan().fail("encoder.transport",
-                                error=TransportError("service down"), times=None)
-        with inject(plan):
-            for _ in range(2):  # each exhausted retry round = one breaker failure
-                with pytest.raises(TransportError):
-                    backend.encode(token_ids, mask)
-            with pytest.raises(CircuitOpen):
-                backend.encode(token_ids, mask)
-        assert backend.stats()["circuit"] == "open"
-
-    def test_input_validation(self, encoder, window):
-        token_ids, mask = window
-        backend = RemoteBackend.in_process(encoder)
-        with pytest.raises(ValueError, match="batch, seq"):
-            backend.encode(token_ids[0])
-        with pytest.raises(ValueError, match="mask shape"):
-            backend.encode(token_ids, mask[:3])
-        with pytest.raises(ValueError):
-            RemoteBackend.in_process(encoder, max_rows_per_request=0)
-
-    def test_spec_round_trip(self, encoder, window):
-        token_ids, mask = window
-        backend = RemoteBackend.in_process(encoder, max_rows_per_request=3,
-                                           coalesce=False)
-        rebuilt = backend_from_spec(backend.to_spec())
-        assert isinstance(rebuilt, RemoteBackend)
-        assert rebuilt.max_rows_per_request == 3 and rebuilt.coalesce is False
-        assert rebuilt.fingerprint() == backend.fingerprint()
-        np.testing.assert_array_equal(rebuilt.encode(token_ids, mask),
-                                      encoder.encode(token_ids, mask))
-
-    def test_opaque_transport_cannot_be_persisted(self):
-        class SocketTransport(EncoderTransport):
-            def request(self, token_ids, mask):  # pragma: no cover - never called
-                raise TransportError("no service")
-
-        backend = RemoteBackend(SocketTransport(), vocab_size=10, output_dim=4)
-        with pytest.raises(EncoderBackendError, match="cannot be persisted"):
-            backend.to_spec()
-
-    def test_in_process_transport_describes_encoder(self, encoder):
-        transport = InProcessTransport(encoder)
-        assert transport.describe()["encoder"] == encoder.to_spec()
-
-
 class TestRegistry:
     def test_stock_kinds_registered(self):
-        assert set(available_encoder_backends()) >= {"local", "cached", "remote"}
+        assert set(available_encoder_backends()) >= {"local", "cached"}
+
+    def test_retired_remote_kind_fails_as_unknown(self, encoder):
+        """``encoder_backend="remote"`` and a ``kind: remote`` manifest entry
+        hit the same readable unknown-kind error as any unregistered kind."""
+        with pytest.raises(EncoderBackendError,
+                           match="unknown encoder backend kind 'remote'"):
+            wrap_encoder("remote", encoder)
+        with pytest.raises(EncoderBackendError,
+                           match="unknown encoder backend kind 'remote'"):
+            backend_from_spec({"kind": "remote", "encoder": encoder.to_spec()})
 
     def test_unknown_kind_names_the_register_call(self):
         with pytest.raises(EncoderBackendError, match="register_encoder_backend"):

@@ -157,3 +157,26 @@ class TestVerifySubcommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read checksums.json" in err
+
+
+class TestPoolFlagErrors:
+    """Bad pool flags fail before any worker starts, in the CLI contract."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--pipeline", "unused", "--workers", "0"],
+         "workers must be >= 1"),
+        (["serve", "--pipeline", "unused", "--deadline-ms", "0"],
+         "default_deadline_ms must be positive"),
+        (["sweep", "--jobs", "-1"], "jobs must be >= 0"),
+        (["sweep", "--cell-timeout", "0"], "cell_timeout_s must be positive"),
+        (["sweep", "--tables", "table4", "table4"],
+         "['table4'] named more than once"),
+    ])
+    def test_one_readable_line(self, argv, message, capsys):
+        code = cli.main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert message in err

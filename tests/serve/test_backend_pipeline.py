@@ -29,12 +29,13 @@ from repro.encoders import (
     FrozenPretrainedEncoder,
     LocalBackend,
     PLMChannel,
-    RemoteBackend,
     StyleChannel,
     spec_fingerprint,
 )
 from repro.models import build_model
+from repro.reliability.durable import atomic_write_text, sha256_file
 from repro.serve import (
+    CHECKSUMS_FILE,
     MANIFEST_FILE,
     Pipeline,
     PipelineError,
@@ -139,25 +140,6 @@ class TestNonLocalBackendRoundTrip:
         np.testing.assert_array_equal(
             loaded.predictor().predict_proba(texts, domains=domains), expected)
 
-    def test_remote_backend_round_trips(self, dtype, model_config, tiny_vocab,
-                                        tiny_encoder, tiny_dataset, probe_texts,
-                                        tmp_path):
-        texts, domains = probe_texts
-        backend = RemoteBackend.in_process(tiny_encoder, max_rows_per_request=3)
-        pipeline = _stock_pipeline(model_config, tiny_vocab, backend,
-                                   tiny_dataset, dtype)
-        expected = _stock_pipeline(model_config, tiny_vocab, tiny_encoder,
-                                   tiny_dataset, dtype).predictor().predict_proba(
-                                       texts, domains=domains)
-        np.testing.assert_array_equal(
-            pipeline.predictor().predict_proba(texts, domains=domains), expected)
-
-        loaded = load_pipeline(save_pipeline(pipeline, tmp_path / "artifact"))
-        assert isinstance(loaded.encoder, RemoteBackend)
-        assert loaded.encoder.max_rows_per_request == 3
-        np.testing.assert_array_equal(
-            loaded.predictor().predict_proba(texts, domains=domains), expected)
-
 
 @pytest.mark.parametrize("dtype", DTYPES)
 class TestCustomChannelRoundTrip:
@@ -240,6 +222,29 @@ class TestFailureModes:
                 load_pipeline(path)
         finally:
             ENCODER_BACKENDS["cached"] = saved
+
+    def test_retired_remote_artifact_fails_as_unknown_kind(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset, tmp_path):
+        """An artifact whose manifest names the retired ``remote`` backend
+        (checksums intact) is refused with the unknown-kind message."""
+        pipeline = _stock_pipeline(model_config, tiny_vocab, tiny_encoder,
+                                   tiny_dataset, "float64")
+        path = save_pipeline(pipeline, tmp_path / "artifact")
+        manifest = _read_manifest(path)
+        manifest["encoder_backend"] = {
+            "kind": "remote", "encoder": tiny_encoder.to_spec(),
+            "max_rows_per_request": 3, "coalesce": True}
+        manifest_path = os.path.join(path, MANIFEST_FILE)
+        atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
+        checksums_path = os.path.join(path, CHECKSUMS_FILE)
+        with open(checksums_path) as handle:
+            checksums = json.load(handle)
+        checksums[MANIFEST_FILE] = sha256_file(manifest_path)
+        atomic_write_text(checksums_path, json.dumps(checksums))
+
+        with pytest.raises(PipelineError,
+                           match="unknown encoder backend kind 'remote'"):
+            load_pipeline(path)
 
     def test_unregistered_channel_kind_names_the_register_call(
             self, model_config, tiny_vocab, tiny_encoder, tiny_dataset, tmp_path):
@@ -334,17 +339,3 @@ class TestBackendHealthReporting:
         state = predictor.backend_state()
         assert state["kind"] == "local"
         assert state["predictor_circuit"] == "closed"
-
-    def test_remote_backend_state_reports_circuit(self, model_config, tiny_vocab,
-                                                  tiny_encoder, tiny_dataset,
-                                                  probe_texts):
-        texts, domains = probe_texts
-        pipeline = _stock_pipeline(model_config, tiny_vocab,
-                                   RemoteBackend.in_process(tiny_encoder),
-                                   tiny_dataset, "float64")
-        predictor = pipeline.predictor()
-        predictor.predict_proba(texts, domains=domains)
-        state = predictor.backend_state()
-        assert state["kind"] == "remote"
-        assert state["circuit"] == "closed"
-        assert state["requests"] >= 1

@@ -263,5 +263,9 @@ class TestSupervision:
             ServerConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServerConfig(queue_high_water=0)
-        with pytest.raises(ValueError):
-            ServerConfig(start_method="threads")
+        with pytest.raises(ValueError, match="default_deadline_ms"):
+            ServerConfig(default_deadline_ms=0)
+        with pytest.raises(ValueError, match="default_deadline_ms"):
+            ServerConfig(default_deadline_ms=-5.0)
+        with pytest.raises(ValueError, match="max_restarts"):
+            ServerConfig(max_restarts=-1)
