@@ -45,7 +45,7 @@ def main() -> None:
     out = args.out or tempfile.mkdtemp(prefix="repro_pipeline_")
     path = export_pipeline(model, bundle, out)
     print(f"Exported pipeline artifact -> {path} "
-          "(manifest.json + weights.npz + vocab.json)")
+          "(manifest.json + weights.bin + vocab.json)")
 
     # 3. Load (as a fresh serving process would) --------------------------- #
     pipeline = load_pipeline(path)

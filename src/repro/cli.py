@@ -243,59 +243,34 @@ def cmd_backends(args) -> int:
 
 def cmd_verify(args) -> int:
     """Check every recorded artifact checksum; one line per file, exit 0/2."""
-    import json
     import os
 
     from repro.encoders.backends import spec_fingerprint
-    from repro.reliability.durable import sha256_file
-    from repro.serve import (
-        CHECKSUMS_FILE,
-        MANIFEST_FILE,
-        VOCAB_FILE,
-        WEIGHTS_FILE,
-        PipelineError,
-        read_manifest,
-    )
+    from repro.serve import PipelineError, check_artifact, read_manifest
 
     path = args.pipeline
-    checks_path = os.path.join(path, CHECKSUMS_FILE)
     if not os.path.isdir(path):
         print(f"verify: no pipeline artifact at '{path}'", file=sys.stderr)
         return 2
-    if not os.path.exists(checks_path):
-        print(f"verify: '{path}' records no checksums ({CHECKSUMS_FILE} "
-              "missing); the export did not finish — re-export it", file=sys.stderr)
-        return 2
     try:
-        with open(checks_path, "r", encoding="utf-8") as handle:
-            recorded = json.load(handle)
-    except (OSError, ValueError) as error:
-        print(f"verify: cannot read {CHECKSUMS_FILE}: {error}", file=sys.stderr)
+        checks = check_artifact(path)
+    except PipelineError as error:
+        print(f"verify: {error}", file=sys.stderr)
         return 2
-    unlisted = sorted({MANIFEST_FILE, WEIGHTS_FILE, VOCAB_FILE} - set(recorded))
-    if unlisted:
-        print(f"verify: {CHECKSUMS_FILE} does not cover {unlisted}; "
-              "re-export it", file=sys.stderr)
-        return 2
-    failures = 0
-    for name, digest in sorted(recorded.items()):
-        target = os.path.join(path, name)
-        if not os.path.exists(target):
-            print(f"  MISSING  {name}  expected sha256={digest[:12]}")
-            failures += 1
-            continue
-        actual = sha256_file(target)
-        if actual == digest:
-            print(f"  ok       {name}  sha256={digest[:12]}")
+    for check in checks:
+        if check.status == "ok":
+            print(f"  ok       {check.name}  sha256={check.expected[:12]}")
+        elif check.status == "MISSING":
+            print(f"  MISSING  {check.name}  expected sha256={check.expected[:12]}")
         else:
-            print(f"  CORRUPT  {name}  expected sha256={digest[:12]} "
-                  f"actual={actual[:12]}")
-            failures += 1
+            print(f"  CORRUPT  {check.name}  expected sha256={check.expected[:12]} "
+                  f"actual={check.actual[:12]}")
+    failures = sum(check.status != "ok" for check in checks)
     if failures:
-        print(f"verify: {failures} of {len(recorded)} files damaged in '{path}'",
+        print(f"verify: {failures} of {len(checks)} files damaged in '{path}'",
               file=sys.stderr)
         return 2
-    print(f"verify: all {len(recorded)} files intact in '{path}'")
+    print(f"verify: all {len(checks)} files intact in '{path}'")
     try:
         manifest = read_manifest(path)
     except PipelineError as error:

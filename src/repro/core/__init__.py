@@ -22,17 +22,12 @@ from repro.core.momentum import (
     WeightSnapshot,
 )
 from repro.core.reweighting import DomainReweightedTrainer, domain_balanced_weights
-from repro.core.snapshot import (
-    SNAPSHOT_FORMAT_VERSION,
-    SnapshotError,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.core.snapshot import SnapshotError, load_snapshot, save_snapshot
 from repro.core.trainer import Trainer, TrainerConfig, collect_features, evaluate_model
 
 __all__ = [
     "TrainingHistory", "EpochRecord", "EarlyStopping",
-    "SnapshotError", "save_snapshot", "load_snapshot", "SNAPSHOT_FORMAT_VERSION",
+    "SnapshotError", "save_snapshot", "load_snapshot",
     "Trainer", "TrainerConfig", "evaluate_model", "collect_features",
     "TrainingInterrupted", "trap_termination",
     "DATConfig", "DomainAdversarialModel", "train_unbiased_teacher", "train_dat_student",

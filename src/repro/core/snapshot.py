@@ -1,7 +1,8 @@
-"""Training snapshots: the on-disk format behind crash-resumable training.
+"""Training snapshots: what a trainer packs to resume a run bit-identically.
 
-A snapshot is a single atomic ``.npz`` archive capturing *everything* a
-trainer needs to continue a run bit-identically after a crash:
+A snapshot is one weights container (:mod:`repro.nn.serialization`, the
+format checkpoints and pipeline weights use) whose arrays and JSON ``meta``
+capture *everything* a trainer needs to continue a run after a crash:
 
 * the model's full state dict (including frozen parameters);
 * the Adam state (``_step_count`` plus the first/second-moment arrays,
@@ -19,111 +20,56 @@ trainer needs to continue a run bit-identically after a crash:
 * trainer-specific extras (early-stopping state, the DTDBD weight scheduler,
   ``weight_history``) via the ``extra`` metadata dict.
 
-Like checkpoints, snapshots are written via
-:func:`repro.reliability.atomic_writer` and carry per-array SHA-256
-checksums in their JSON header; a corrupted or truncated snapshot is refused
-with a readable :class:`SnapshotError` instead of resuming from damaged
-state.
+This module holds the pack/unpack helpers ``Trainer`` and ``DTDBDTrainer``
+share, plus :func:`save_snapshot` / :func:`load_snapshot`, which write and
+read the container and word its refusals as :class:`SnapshotError`: a
+corrupt, truncated or older-format snapshot is refused instead of resuming
+from damaged state.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import zipfile
 from dataclasses import asdict
 
 import numpy as np
 
-from repro._version import __version__
 from repro.core.callbacks import EarlyStopping, EpochRecord, TrainingHistory
 from repro.core.momentum import MomentumWeightScheduler, WeightSnapshot
 from repro.nn.module import Module
-from repro.reliability.durable import atomic_writer, sha256_bytes
-from repro.reliability.faults import fault_point
-from repro.reliability.retry import RetryPolicy, default_read_policy
-
-#: Reserved archive key holding the JSON header.
-SNAPSHOT_META_KEY = "__repro_snapshot__"
-
-#: Bump when the snapshot layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+from repro.nn.serialization import CheckpointError, decode_weights, encode_weights
+from repro.reliability.durable import atomic_write_bytes, read_bytes
 
 
 class SnapshotError(ValueError):
     """A training snapshot cannot be written or restored."""
 
 
-# --------------------------------------------------------------------------- #
-# Archive I/O                                                                  #
-# --------------------------------------------------------------------------- #
 def save_snapshot(path: str | os.PathLike, meta: dict,
                   arrays: dict[str, np.ndarray]) -> None:
-    """Atomically write a snapshot archive with checksummed arrays.
-
-    ``meta`` must be JSON-serialisable; the format version, package version
-    and per-array checksums are added here.
-    """
-    header = dict(meta)
-    header["format_version"] = SNAPSHOT_FORMAT_VERSION
-    header["repro_version"] = __version__
-    header["checksums"] = {
-        name: sha256_bytes(np.ascontiguousarray(array).tobytes())
-        for name, array in arrays.items()}
-    encoded = np.array(json.dumps(header))
-    with atomic_writer(path, "wb") as handle:
-        np.savez(handle, **{SNAPSHOT_META_KEY: encoded}, **arrays)
+    """Atomically write ``arrays`` plus the JSON-serialisable ``meta``."""
+    atomic_write_bytes(path, encode_weights(arrays, meta))
 
 
-def load_snapshot(path: str | os.PathLike,
-                  retry: RetryPolicy | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+def load_snapshot(path: str | os.PathLike) -> tuple[dict, dict[str, np.ndarray]]:
     """Read and verify a snapshot; returns ``(meta, arrays)``.
 
-    Refuses archives without a header, from a newer format version, or whose
-    per-array checksums do not match — all as :class:`SnapshotError` with the
-    path named.  Transient read errors are retried.
+    Refuses missing, damaged and older-format files and plain checkpoints,
+    all as :class:`SnapshotError` with the path named.  Transient read
+    errors are retried.
     """
-    policy = retry if retry is not None else default_read_policy()
-    entries = policy.call(_read_snapshot_archive, path)
-    if SNAPSHOT_META_KEY not in entries:
-        raise SnapshotError(
-            f"'{os.fspath(path)}' is not a training snapshot (missing header); "
-            "was it written by save_checkpoint instead of Trainer.snapshot?")
     try:
-        meta = json.loads(str(entries.pop(SNAPSHOT_META_KEY)[()]))
-    except ValueError as error:
-        raise SnapshotError(
-            f"snapshot '{os.fspath(path)}' has an unreadable header ({error}); "
-            "the file is corrupt") from error
-    version = meta.get("format_version")
-    if not isinstance(version, int) or version > SNAPSHOT_FORMAT_VERSION:
-        raise SnapshotError(
-            f"snapshot '{os.fspath(path)}' has format version {version!r}, but "
-            f"this build only understands versions <= {SNAPSHOT_FORMAT_VERSION}")
-    damaged = sorted(
-        name for name, digest in meta.get("checksums", {}).items()
-        if name in entries
-        and sha256_bytes(np.ascontiguousarray(entries[name]).tobytes()) != digest)
-    if damaged:
-        raise SnapshotError(
-            f"snapshot '{os.fspath(path)}' failed checksum verification for "
-            f"{len(damaged)} array(s): {damaged}; the file is corrupt — resume "
-            "from an earlier snapshot")
-    return meta, entries
-
-
-def _read_snapshot_archive(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    fault_point("io.read", path=os.fspath(path), kind="snapshot")
-    try:
-        with np.load(path) as archive:
-            return {name: archive[name] for name in archive.files}
+        meta, arrays = decode_weights(read_bytes(path, kind="snapshot"), path)
     except FileNotFoundError:
         raise SnapshotError(f"no snapshot at '{os.fspath(path)}'") from None
-    except (zipfile.BadZipFile, ValueError, KeyError, EOFError) as error:
+    except CheckpointError as error:
+        raise SnapshotError(f"snapshot {error}") from error
+    if meta is None:
         raise SnapshotError(
-            f"snapshot '{os.fspath(path)}' is corrupt or truncated and cannot "
-            f"be read ({type(error).__name__}: {error}); resume from an "
-            "earlier snapshot") from error
+            f"'{os.fspath(path)}' is not a training snapshot (it has no "
+            "snapshot metadata); was it written by save_checkpoint instead of "
+            "Trainer.snapshot?")
+    return meta, arrays
 
 
 # --------------------------------------------------------------------------- #

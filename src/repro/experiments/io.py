@@ -13,9 +13,7 @@ import os
 from typing import Any
 
 from repro.metrics import EvaluationReport
-from repro.reliability.durable import atomic_write_text
-from repro.reliability.faults import fault_point
-from repro.reliability.retry import default_read_policy
+from repro.reliability.durable import atomic_write_text, read_bytes
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
@@ -68,16 +66,10 @@ def load_results(path: str | os.PathLike) -> Any:
     instead of a bare decode traceback.
     """
     path = os.fspath(path)
-
-    def attempt() -> Any:
-        fault_point("io.read", path=path, kind="results")
-        with open(path, "r", encoding="utf-8") as handle:
-            content = handle.read()
-        try:
-            return json.loads(content)
-        except ValueError as error:
-            raise ValueError(
-                f"results file '{path}' is not valid JSON ({error}); was the "
-                "run interrupted before save_results finished?") from error
-
-    return default_read_policy().call(attempt)
+    content = read_bytes(path, kind="results")
+    try:
+        return json.loads(content)
+    except ValueError as error:
+        raise ValueError(
+            f"results file '{path}' is not valid JSON ({error}); was the "
+            "run interrupted before save_results finished?") from error

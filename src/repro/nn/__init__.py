@@ -24,10 +24,9 @@ from repro.nn.losses import (
 )
 from repro.nn.optim import SGD, Adam, GradientClipper, Optimizer, StepLR
 from repro.nn.serialization import (
-    CHECKPOINT_FORMAT_VERSION,
+    WEIGHTS_FORMAT_VERSION,
     CheckpointError,
     load_checkpoint,
-    read_checkpoint_metadata,
     save_checkpoint,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "GradientReversal", "gradient_reversal",
     "CrossEntropyLoss", "BCEWithLogitsLoss", "MSELoss", "KLDistillationLoss",
     "Optimizer", "SGD", "Adam", "GradientClipper", "StepLR",
-    "save_checkpoint", "load_checkpoint", "read_checkpoint_metadata",
-    "CheckpointError", "CHECKPOINT_FORMAT_VERSION",
+    "save_checkpoint", "load_checkpoint", "CheckpointError", "WEIGHTS_FORMAT_VERSION",
 ]

@@ -1,205 +1,199 @@
-"""Saving and loading model state dicts as ``.npz`` archives.
+"""One flat, content-addressed weights format for every saved set of arrays.
 
-Checkpoints written since the serving PR carry a *versioned header* — a JSON
-document stored under the reserved ``CHECKPOINT_META_KEY`` archive entry with
-the format version, the dtype the parameters were saved in and every
-parameter's shape.  Since the reliability PR the header also records a
-per-parameter SHA-256 checksum, the archive is written atomically (temp file
-+ fsync + ``os.replace`` via :mod:`repro.reliability.durable`) and loading
-verifies every checksum — so a crash mid-save never leaves a truncated
-checkpoint behind, and a corrupted one is refused with a readable
-:class:`CheckpointError` naming the damaged parameters instead of a raw
-``zipfile``/NumPy traceback.  Legacy archives (plain ``np.savez`` of the
-state dict, as written by PR-1-era ``save_checkpoint``) have no header and
-keep loading exactly as before.
+Checkpoints (:func:`save_checkpoint`), the weights of a :mod:`repro.serve`
+pipeline artifact (``weights.bin``) and training snapshots
+(``Trainer.snapshot``) are all one container::
 
-Reads go through a short transient-error retry
-(:func:`repro.reliability.default_read_policy`); corruption is *not* retried
-— it is permanent, and the diagnostic should arrive immediately.
+    magic    8 bytes   b"REPROWTS"
+    version  4 bytes   uint32 little-endian, WEIGHTS_FORMAT_VERSION
+    length   4 bytes   uint32 little-endian byte length of the index
+    index    sorted-key JSON: {"arrays": [{"dtype", "name", "offset",
+             "shape"}, ...], "meta": {...}}  ("meta" is optional)
+    padding  zeros up to a 64-byte boundary
+    buffer   each array's raw C-order bytes at a 64-byte-aligned offset
+             from the buffer start, zero-padded in between
+    trailer  32 bytes  SHA-256 of everything above
+
+Nothing in the file depends on when or where it was written, so identical
+state gives identical bytes, and the file's SHA-256 is both its integrity
+check and its fingerprint (``Pipeline.fingerprint`` hashes it).  Loading is
+one read, one SHA-256 over the body and then zero-copy views into the buffer.
+
+Writes are atomic (temp file + fsync + ``os.replace`` via
+:mod:`repro.reliability.durable`); reads go through
+:func:`repro.reliability.durable.read_bytes` (the ``io.read`` fault point
+and a short transient-error retry — corruption is permanent and never
+retried).  Damage anywhere — magic, index, buffer, trailer or a truncated
+tail — is refused with a :class:`CheckpointError` naming the file, and so
+are the ``.npz`` archives earlier builds wrote, with a hint to re-save them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
-import zipfile
+import struct
+from typing import Mapping
 
 import numpy as np
 
-from repro._version import __version__
 from repro.nn.module import Module
-from repro.reliability.durable import atomic_writer, sha256_bytes
-from repro.reliability.faults import fault_point
-from repro.reliability.retry import RetryPolicy, default_read_policy
+from repro.reliability.durable import atomic_write_bytes, read_bytes
 
-#: Reserved archive key holding the JSON header; never a valid parameter name
-#: (parameter names are dotted attribute paths).
-CHECKPOINT_META_KEY = "__repro_checkpoint__"
+#: Bump when the container layout changes incompatibly.  The magic, this
+#: version field and the SHA-256 trailer keep their places in every version,
+#: so an older build can always name a newer file's version.
+WEIGHTS_FORMAT_VERSION = 1
 
-#: Bump when the archive layout changes incompatibly.  Loaders accept every
-#: version up to and including their own.  Version 1 archives may additionally
-#: carry a ``checksums`` header field (added by the reliability PR; verified
-#: when present, so pre-checksum version-1 archives still load).
-CHECKPOINT_FORMAT_VERSION = 1
+MAGIC = b"REPROWTS"
+_PREFIX = struct.Struct("<8sII")
+_ALIGN = 64
+_DIGEST_BYTES = 32
+#: Every ``.npz`` (a zip archive) starts with a local-file-header signature.
+_NPZ_MAGIC = b"PK\x03\x04"
+_DAMAGED = "restore it from a backup or write it again"
 
 
 class CheckpointError(ValueError):
-    """A checkpoint cannot be loaded into the receiving module.
+    """A weights file is damaged, of another format, or does not fit the model."""
 
-    Subclasses :class:`ValueError` so pre-header callers that caught the raw
-    shape-mismatch ``ValueError`` keep working.
+
+def _aligned(size: int) -> int:
+    return -(-size // _ALIGN) * _ALIGN
+
+
+def encode_weights(arrays: Mapping[str, np.ndarray],
+                   meta: dict | None = None) -> bytearray:
+    """The container bytes for ``arrays`` (name -> array) plus JSON ``meta``."""
+    entries, chunks, end = [], [], 0
+    for name in sorted(arrays):
+        array = np.asarray(arrays[name])
+        if array.dtype.hasobject:
+            raise TypeError(f"array '{name}' holds Python objects; only numeric "
+                            "arrays can be saved")
+        offset = _aligned(end)
+        entries.append({"name": name, "dtype": array.dtype.str,
+                        "shape": list(array.shape), "offset": offset})
+        chunks.append((offset, array))
+        end = offset + array.nbytes
+    index = {"arrays": entries}
+    if meta is not None:
+        index["meta"] = meta
+    encoded = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    start = _aligned(_PREFIX.size + len(encoded))
+    blob = bytearray(start + end + _DIGEST_BYTES)
+    _PREFIX.pack_into(blob, 0, MAGIC, WEIGHTS_FORMAT_VERSION, len(encoded))
+    blob[_PREFIX.size:_PREFIX.size + len(encoded)] = encoded
+    for offset, array in chunks:
+        blob[start + offset:start + offset + array.nbytes] = array.tobytes()
+    blob[-_DIGEST_BYTES:] = hashlib.sha256(memoryview(blob)[:-_DIGEST_BYTES]).digest()
+    return blob
+
+
+def decode_weights(data: bytes, path: str | os.PathLike
+                   ) -> tuple[dict | None, dict[str, np.ndarray]]:
+    """Verify and parse container bytes read from ``path``; ``(meta, arrays)``.
+
+    The arrays are read-only views into ``data``.  Every refusal is a
+    :class:`CheckpointError` naming ``path``.
     """
+    path = os.fspath(path)
+    if data[:len(_NPZ_MAGIC)] == _NPZ_MAGIC:
+        raise CheckpointError(
+            f"'{path}' is an .npz archive written by an older repro build; this "
+            f"build reads only weights format version {WEIGHTS_FORMAT_VERSION} — "
+            "load it with the build that wrote it and re-save it, or re-export "
+            "the model")
+    if len(data) < _PREFIX.size + _DIGEST_BYTES or data[:len(MAGIC)] != MAGIC:
+        raise CheckpointError(
+            f"'{path}' is not a repro weights file (bad magic bytes); it is "
+            f"corrupt or truncated — {_DAMAGED}")
+    body = memoryview(data)[:-_DIGEST_BYTES]
+    if hashlib.sha256(body).digest() != data[-_DIGEST_BYTES:]:
+        raise CheckpointError(
+            f"'{path}' failed its SHA-256 check; it is corrupt or truncated — "
+            f"{_DAMAGED}")
+    _, version, length = _PREFIX.unpack_from(data)
+    if version != WEIGHTS_FORMAT_VERSION:
+        raise CheckpointError(
+            f"'{path}' has weights format version {version}, but this build "
+            f"reads only version {WEIGHTS_FORMAT_VERSION}; use the repro build "
+            "that wrote it")
+    start = _aligned(_PREFIX.size + length)
+    try:
+        index = json.loads(bytes(body[_PREFIX.size:_PREFIX.size + length]))
+        arrays = {}
+        for entry in index["arrays"]:
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(entry["shape"])
+            count = math.prod(shape)
+            offset = start + entry["offset"]
+            if offset + count * dtype.itemsize > len(body):
+                raise ValueError(f"array '{entry['name']}' extends past the buffer")
+            arrays[entry["name"]] = np.frombuffer(
+                data, dtype=dtype, count=count, offset=offset).reshape(shape)
+    except (ValueError, TypeError, KeyError) as error:
+        raise CheckpointError(
+            f"'{path}' has an unreadable index ({type(error).__name__}: "
+            f"{error}); the file is corrupt — {_DAMAGED}") from error
+    return index.get("meta"), arrays
 
 
-def checkpoint_metadata(module: Module, state: dict | None = None) -> dict:
-    """The header :func:`save_checkpoint` writes for ``module``.
-
-    Pass the already-built ``state`` dict to avoid a second full parameter
-    copy (``Module.state_dict`` copies every array).
-    """
-    if state is None:
-        state = module.state_dict()
-    dtypes = sorted({str(array.dtype) for array in state.values()})
-    return {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "repro_version": __version__,
-        "dtype": dtypes[0] if len(dtypes) == 1 else dtypes,
-        "parameters": {name: list(array.shape) for name, array in state.items()},
-        "checksums": {name: sha256_bytes(np.ascontiguousarray(array).tobytes())
-                      for name, array in state.items()},
-    }
+def checkpoint_bytes(module: Module) -> bytearray:
+    """The exact bytes :func:`save_checkpoint` writes for ``module``."""
+    return encode_weights(module.state_dict())
 
 
-def save_checkpoint(module: Module, path: str | os.PathLike) -> None:
-    """Atomically write a module's state dict plus the versioned header.
+def save_checkpoint(module: Module, path: str | os.PathLike) -> str:
+    """Atomically write ``module``'s parameters to ``path``; returns the file's SHA-256.
 
-    The archive lands via temp-file + fsync + ``os.replace``: a crash at any
+    The file lands via temp-file + fsync + ``os.replace``: a crash at any
     point leaves either the previous checkpoint or the complete new one.
     """
-    state = module.state_dict()
-    # npz keys cannot be empty; parameter names are always non-empty here.
-    # The header is stored as a 0-d unicode array: loadable without pickle.
-    meta = np.array(json.dumps(checkpoint_metadata(module, state)))
-    with atomic_writer(path, "wb") as handle:
-        np.savez(handle, **{CHECKPOINT_META_KEY: meta}, **state)
+    return atomic_write_bytes(path, checkpoint_bytes(module))
 
 
-def _read_archive(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Load every entry of the archive, translating low-level failures.
+def restore_checkpoint(module: Module, data: bytes, path: str | os.PathLike) -> None:
+    """Load checkpoint bytes read from ``path`` into ``module``.
 
-    ``np.load`` surfaces truncation and zip-structure damage as a zoo of
-    ``zipfile.BadZipFile`` / ``ValueError`` / ``OSError`` / ``EOFError``
-    exceptions; all become :class:`CheckpointError` with the path named.
-    ``OSError`` (other than not-found) is left for the retry policy.
+    Everything is checked before any parameter is touched: the container
+    (see :func:`decode_weights`), that it is a checkpoint rather than a
+    training snapshot, and every parameter's shape — a mismatch raises
+    :class:`CheckpointError` naming each offending parameter.  Arrays are
+    cast to each parameter's current dtype, so a float64-trained checkpoint
+    loads into a float32 model and vice versa.
     """
-    fault_point("io.read", path=os.fspath(path), kind="checkpoint")
-    try:
-        with np.load(path) as archive:
-            return {name: archive[name] for name in archive.files}
-    except FileNotFoundError:
-        raise CheckpointError(f"no checkpoint at '{os.fspath(path)}'") from None
-    except (zipfile.BadZipFile, ValueError, KeyError, EOFError) as error:
+    path = os.fspath(path)
+    meta, state = decode_weights(data, path)
+    if meta is not None:
         raise CheckpointError(
-            f"checkpoint '{os.fspath(path)}' is corrupt or truncated and cannot "
-            f"be read ({type(error).__name__}: {error}); restore it from a "
-            "backup or re-export the model") from error
-
-
-def _load_entries(path: str | os.PathLike,
-                  retry: RetryPolicy | None = None) -> dict[str, np.ndarray]:
-    policy = retry if retry is not None else default_read_policy()
-    return policy.call(_read_archive, path)
-
-
-def read_checkpoint_metadata(path: str | os.PathLike,
-                             retry: RetryPolicy | None = None) -> dict | None:
-    """Return the header of the archive at ``path`` (``None`` for legacy files)."""
-    entries = _load_entries(path, retry)
-    if CHECKPOINT_META_KEY not in entries:
-        return None
-    return _parse_header(entries[CHECKPOINT_META_KEY], path)
-
-
-def _parse_header(meta_entry: np.ndarray, path: str | os.PathLike) -> dict:
-    try:
-        return json.loads(str(meta_entry[()]))
-    except ValueError as error:
-        raise CheckpointError(
-            f"checkpoint '{os.fspath(path)}' has an unreadable header "
-            f"({error}); the archive is corrupt") from error
-
-
-def _validate_header(meta: dict, module: Module, path: str) -> None:
-    version = meta.get("format_version")
-    if not isinstance(version, int) or version > CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint '{path}' has format version {version!r}, but this build "
-            f"only understands versions <= {CHECKPOINT_FORMAT_VERSION}; "
-            "upgrade the repro package to load it")
-    saved_shapes = {name: tuple(shape)
-                    for name, shape in meta.get("parameters", {}).items()}
-    own_shapes = {name: tensor.data.shape
-                  for name, tensor in module._all_parameters_even_frozen()}
+            f"'{path}' holds a training snapshot, not a checkpoint; restore it "
+            "with Trainer.resume")
+    own = dict(module._all_parameters_even_frozen())
     mismatched = [
-        f"  {name}: checkpoint {saved_shapes[name]} vs model {own_shapes[name]}"
-        for name in sorted(set(saved_shapes) & set(own_shapes))
-        if saved_shapes[name] != own_shapes[name]
+        f"  {name}: checkpoint {state[name].shape} vs model {own[name].data.shape}"
+        for name in sorted(set(state) & set(own))
+        if state[name].shape != own[name].data.shape
     ]
     if mismatched:
         raise CheckpointError(
             f"checkpoint '{path}' does not fit {type(module).__name__}: "
             "parameter shapes differ (was the model built with a different "
             "ModelConfig?)\n" + "\n".join(mismatched))
+    module.load_state_dict(state)
 
 
-def _verify_checksums(meta: dict, state: dict[str, np.ndarray], path: str) -> None:
-    recorded = meta.get("checksums")
-    if not isinstance(recorded, dict):
-        return  # pre-checksum version-1 archive
-    damaged = [
-        name for name, digest in recorded.items()
-        if name in state
-        and sha256_bytes(np.ascontiguousarray(state[name]).tobytes()) != digest
-    ]
-    if damaged:
-        raise CheckpointError(
-            f"checkpoint '{path}' failed checksum verification for "
-            f"{len(damaged)} parameter(s): {sorted(damaged)}; the file is "
-            "corrupt — restore it from a backup or re-export the model")
+def load_checkpoint(module: Module, path: str | os.PathLike) -> None:
+    """Load a checkpoint written by :func:`save_checkpoint` into ``module``.
 
-
-def load_checkpoint(module: Module, path: str | os.PathLike, strict: bool = True,
-                    dtype=None, retry: RetryPolicy | None = None) -> None:
-    """Load a state dict saved by :func:`save_checkpoint` into ``module``.
-
-    Checkpoints are dtype-portable: arrays are cast to each parameter's
-    current dtype on load, so a float64-trained checkpoint can be loaded into
-    a float32 model (and vice versa).  Pass ``dtype`` to additionally cast the
-    whole module first.
-
-    Versioned archives are validated against the module before any parameter
-    is touched: shape mismatches raise :class:`CheckpointError` naming every
-    offending parameter, archives from a newer format version are refused,
-    and recorded per-parameter SHA-256 checksums are verified — a single
-    corrupted byte is detected and refused with a readable diagnostic.
-    Legacy (header-less) archives load exactly as before.  Transient read
-    errors are retried under ``retry`` (default:
-    :func:`repro.reliability.default_read_policy`).
-
-    Casting parameters alone does not move *compute* to that dtype: batch
-    features, masks and zero states are created under the global policy, and
-    NumPy promotes mixed inputs upward.  To actually serve a float64-trained
-    model on the float32 fast path, also set the policy::
-
-        set_default_dtype("float32")            # activations
-        load_checkpoint(model, path, dtype="float32")   # parameters
+    See :func:`restore_checkpoint` for the checks.  Casting parameters alone
+    does not move *compute* to another dtype: batch features, masks and zero
+    states follow the global policy (:func:`repro.tensor.set_default_dtype`).
     """
-    if dtype is not None:
-        module.astype(dtype)
-    state = _load_entries(path, retry)
-    meta_entry = state.pop(CHECKPOINT_META_KEY, None)
-    if meta_entry is not None:
-        meta = _parse_header(meta_entry, path)
-        _validate_header(meta, module, os.fspath(path))
-        _verify_checksums(meta, state, os.fspath(path))
-    module.load_state_dict(state, strict=strict)
+    try:
+        data = read_bytes(path, kind="checkpoint")
+    except FileNotFoundError:
+        raise CheckpointError(f"no checkpoint at '{os.fspath(path)}'") from None
+    restore_checkpoint(module, data, path)

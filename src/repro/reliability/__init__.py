@@ -11,8 +11,8 @@ artifacts, flaky I/O, mid-epoch crashes, poisoned requests) is handled here.
   backoff, experiment-seeded jitter and deadline budgets, wrapped around
   frozen-encoder calls and artifact reads.
 * :mod:`repro.reliability.durable` — atomic temp-file + fsync + ``os.replace``
-  writes and the SHA-256 checksums recorded in checkpoint headers, pipeline
-  ``checksums.json`` and training snapshots.
+  writes, the retried :func:`read_bytes` every artifact read goes through,
+  and the SHA-256 digests a pipeline's ``checksums.json`` records.
 * :mod:`repro.reliability.circuit` — :class:`CircuitBreaker`
   (closed/open/half-open with seeded probe jitter) converting a persistently
   failing dependency into fast :class:`CircuitOpen` rejections; the serving
@@ -24,9 +24,10 @@ artifacts, flaky I/O, mid-epoch crashes, poisoned requests) is handled here.
   (respawn under a restart budget, drain-before-death liveness) under
   ``repro.serve.Server`` and the parallel sweep.
 
-Downstream: :func:`repro.nn.save_checkpoint` / ``load_checkpoint`` refuse
-corrupt archives, ``repro.serve`` artifacts verify end-to-end, and
-``Trainer.snapshot``/``resume`` give crash-resumable training (see the
+Downstream: checkpoints, pipeline weights and training snapshots share one
+weights container (:mod:`repro.nn.serialization`, SHA-256 trailer) whose
+loaders refuse damaged files, ``repro.serve`` artifacts verify end-to-end,
+and ``Trainer.snapshot``/``resume`` give crash-resumable training (see the
 ``tests/reliability/`` chaos suite).
 """
 
@@ -36,6 +37,7 @@ from repro.reliability.durable import (
     atomic_write_text,
     atomic_writer,
     fsync_directory,
+    read_bytes,
     sha256_bytes,
     sha256_file,
 )
@@ -59,5 +61,5 @@ __all__ = [
     "CircuitBreaker", "CircuitOpen",
     "watchdog", "WatchdogTimeout",
     "atomic_writer", "atomic_write_bytes", "atomic_write_text",
-    "sha256_bytes", "sha256_file", "fsync_directory",
+    "read_bytes", "sha256_bytes", "sha256_file", "fsync_directory",
 ]

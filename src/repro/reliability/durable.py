@@ -1,21 +1,22 @@
-"""Atomic, durable, checksummed file writes.
+"""Atomic, durable, checksummed file writes and retried reads.
 
-Every durability-critical artifact in the repository (checkpoints, pipeline
-directories, results JSON, training snapshots, benchmark records) goes through
-this module.  The contract:
+Every durability-critical artifact in the repository (weights containers,
+pipeline directories, results JSON, benchmark records) goes through this
+module.  The contract:
 
 * **Atomic**: content is written to a temporary file in the destination
   directory, flushed, ``fsync``\\ ed and then ``os.replace``\\ d over the target
   — a crash mid-write leaves either the old file or the new file, never a
   truncated hybrid.  The containing directory is fsynced after the rename so
   the *name* is durable too.
-* **Checksummed**: :func:`sha256_bytes` / :func:`sha256_file` provide the
-  digests recorded in checkpoint headers, pipeline ``checksums.json`` and
-  snapshot metadata; readers verify them and refuse corrupt artifacts with a
-  readable error instead of a raw ``zipfile``/JSON traceback.
-* **Injectable**: the write path carries an ``io.write`` fault point, so the
-  chaos suite can prove that a crash at any moment never leaves partial state
-  behind.
+* **Checksummed**: :func:`sha256_bytes` / :func:`sha256_file` give the
+  digests a pipeline's ``checksums.json`` records; the weights container
+  (:mod:`repro.nn.serialization`) carries its own SHA-256 trailer.  Readers
+  verify them and refuse corrupt artifacts with a readable error.
+* **Injectable**: the write path carries an ``io.write`` fault point and
+  :func:`read_bytes` an ``io.read`` one, so the chaos suite can prove that a
+  crash at any moment never leaves partial state behind and that transient
+  read errors cost a retry (:func:`repro.reliability.default_read_policy`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 from typing import IO, Iterator
 
 from repro.reliability.faults import fault_point
+from repro.reliability.retry import default_read_policy
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -44,6 +46,22 @@ def sha256_file(path: str | os.PathLike, chunk_size: int = 1 << 20) -> str:
                 break
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def read_bytes(path: str | os.PathLike, kind: str) -> bytes:
+    """The whole file at ``path``, read under the default read-retry policy.
+
+    ``kind`` labels the ``io.read`` fault point.  A missing file raises
+    ``FileNotFoundError`` at once (it is not retried).
+    """
+    path = os.fspath(path)
+
+    def attempt() -> bytes:
+        fault_point("io.read", path=path, kind=kind)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    return default_read_policy().call(attempt)
 
 
 def fsync_directory(path: str | os.PathLike) -> None:

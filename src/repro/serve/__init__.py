@@ -8,8 +8,9 @@ servable artifact and answers "is this news item fake?" from raw text:
 * :class:`Pipeline` — model + vocab + tokenizer + encoder backend + feature
   channels + :class:`repro.models.ModelConfig` + engine dtype, with
   :func:`save_pipeline` / :func:`load_pipeline` persisting the whole bundle
-  as one directory (``manifest.json`` + ``weights.npz`` + ``vocab.json`` +
-  ``checksums.json``).
+  as one directory (``manifest.json`` + ``weights.bin`` + ``vocab.json`` +
+  ``checksums.json``); :func:`check_artifact` is the one per-file checksum
+  check behind :func:`verify_pipeline`, loading and ``repro verify``.
   Models are reconstructed through :func:`repro.models.build_model`, so any
   detector registered with :func:`repro.models.register_model` round-trips.
 * :class:`Predictor` — ``predict(texts, domains=None) -> list[Prediction]``
@@ -47,8 +48,10 @@ from repro.serve.pipeline import (
     PIPELINE_FORMAT_VERSION,
     VOCAB_FILE,
     WEIGHTS_FILE,
+    FileCheck,
     Pipeline,
     PipelineError,
+    check_artifact,
     export_pipeline,
     load_pipeline,
     read_manifest,
@@ -62,7 +65,7 @@ from repro.serve.stats import ServeStats
 
 __all__ = [
     "Pipeline", "PipelineError", "save_pipeline", "load_pipeline", "export_pipeline",
-    "verify_pipeline", "read_manifest",
+    "verify_pipeline", "check_artifact", "FileCheck", "read_manifest",
     "Predictor", "Prediction",
     "MicroBatcher", "Ticket",
     "Server", "ServerConfig", "ServerOverloaded", "ServerTicket", "ServeStats",

@@ -7,7 +7,8 @@ forwards.  :class:`MicroBatcher` sits between the two: requests are
 is flushed through one batched :meth:`repro.serve.Predictor.predict` call as
 soon as ``max_batch`` requests are pending, or as soon as the oldest pending
 request has waited ``max_latency_ms`` (checked on every submit), or on
-:meth:`~MicroBatcher.drain`.
+:meth:`~MicroBatcher.drain` — the rule :func:`flush_decision`, which
+``repro.serve.Server``'s dispatcher applies to its shared queue too.
 
 The batcher is deliberately synchronous and single-threaded: flushes happen
 inside ``submit``/``drain`` on the caller's thread, which keeps results
@@ -20,12 +21,37 @@ discipline — and the ≥3x throughput it buys, see
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.serve.stats import ServeStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serve.predictor import Prediction, Predictor
+
+
+def flush_decision(pending: Sequence, max_batch: int, max_latency_ms: float,
+                   force: bool = False) -> tuple[str | None, float | None]:
+    """The one flush rule, shared by :class:`MicroBatcher` and ``Server``.
+
+    ``pending`` is the queue, oldest first; each entry carries the
+    ``time.perf_counter()`` value it was queued at as ``submitted_at``.
+    Returns ``(reason, wait_s)``.  ``reason`` is ``"full"`` once ``max_batch``
+    requests are pending, ``"drain"`` when ``force`` asks for whatever is
+    pending, ``"latency"`` once the oldest request has waited
+    ``max_latency_ms``, and ``None`` otherwise.  ``wait_s`` is the time left
+    until the latency flush is due; it is ``None`` when a flush is due now
+    or nothing is pending.
+    """
+    if not pending:
+        return None, None
+    if len(pending) >= max_batch:
+        return "full", None
+    if force:
+        return "drain", None
+    waited_ms = (time.perf_counter() - pending[0].submitted_at) * 1e3
+    if waited_ms >= max_latency_ms:
+        return "latency", None
+    return None, (max_latency_ms - waited_ms) / 1e3
 
 
 class Ticket:
@@ -100,19 +126,17 @@ class MicroBatcher:
         except KeyError:
             self.stats.count("rejected")
             raise
-        if self._pending and self._overdue():
-            self._flush("latency")
+        # Before queueing: an overdue queue flushes without the new ticket.
+        self._flush_if_due()
         ticket = Ticket(text, domain)
         self._pending.append(ticket)
         self.stats.count("submitted")
-        if len(self._pending) >= self.max_batch:
-            self._flush("full")
+        self._flush_if_due()
         return ticket
 
     def drain(self) -> None:
         """Flush whatever is pending (call when the request stream pauses)."""
-        if self._pending:
-            self._flush("drain")
+        self._flush_if_due(force=True)
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -139,9 +163,11 @@ class MicroBatcher:
                 self.stats.count("failed")
 
     # ------------------------------------------------------------------ #
-    def _overdue(self) -> bool:
-        waited_ms = (time.perf_counter() - self._pending[0].submitted_at) * 1e3
-        return waited_ms >= self.max_latency_ms
+    def _flush_if_due(self, force: bool = False) -> None:
+        reason, _ = flush_decision(self._pending, self.max_batch,
+                                   self.max_latency_ms, force)
+        if reason is not None:
+            self._flush(reason)
 
     def _flush(self, reason: str) -> None:
         from repro.reliability.faults import fault_point

@@ -6,7 +6,7 @@ Artifact layout (one directory per pipeline)::
       manifest.json   # format version, model name + ModelConfig, dtype,
                       # tokenizer spec, encoder-backend spec, max_length,
                       # domain names, feature-channel specs, labels, metadata
-      weights.npz     # versioned checkpoint (repro.nn.save_checkpoint)
+      weights.bin     # weights container (repro.nn.save_checkpoint)
       vocab.json      # token list in id order (Vocabulary.to_spec)
       checksums.json  # SHA-256 of the three files above, written last
 
@@ -19,14 +19,20 @@ pipeline saved for a detector or channel registered via
 :func:`repro.models.register_model` / :func:`repro.encoders.register_feature_channel`
 loads in any process that performs the same registrations first.
 
-Format version 2 holds one representation of each: ``encoder_backend`` is
-the backend's ``to_spec()`` and ``feature_channels`` the list of channel
-specs, whose ``plm`` entry (``{"kind": "plm"}``) binds to that backend.
+Format version 3 holds one representation of each: ``encoder_backend`` is
+the backend's ``to_spec()``, ``feature_channels`` the list of channel specs,
+whose ``plm`` entry (``{"kind": "plm"}``) binds to that backend, and the
+weights are the flat container of :mod:`repro.nn.serialization`.  Older
+artifacts are refused with a hint to re-export them.
 
-Loading restores the model under the pipeline's dtype policy and loads the
-saved weights bit-for-bit, so a loaded pipeline reproduces the exporting
-model's probabilities exactly (pinned by ``tests/serve/test_pipeline.py`` in
-both ``REPRO_DTYPE``\\ s).
+:func:`check_artifact` is the one checksum check: it reads every recorded
+file once and reports each one's status.  :func:`verify_pipeline`, ``repro
+verify`` and :func:`load_pipeline` all use it; loading then parses the same
+bytes, restores the model under the pipeline's dtype policy and loads the
+weights bit-for-bit, so a loaded pipeline reproduces the exporting model's
+probabilities exactly (pinned by ``tests/serve/test_pipeline.py`` in both
+``REPRO_DTYPE``\\ s).  The container's bytes depend only on the weights, so
+:meth:`Pipeline.fingerprint` is stable across replays and round-trips.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro._version import __version__
 from repro.data.dataset import LABEL_NAMES
@@ -58,17 +62,15 @@ from repro.encoders.channels import (
 from repro.encoders.pretrained import FrozenPretrainedEncoder
 from repro.models.base import FakeNewsDetector, ModelConfig
 from repro.models.registry import build_model, registry_name
-from repro.nn.serialization import load_checkpoint, save_checkpoint
-from repro.reliability.durable import atomic_write_text, sha256_file
-from repro.reliability.faults import fault_point
-from repro.reliability.retry import default_read_policy
+from repro.nn.serialization import checkpoint_bytes, restore_checkpoint, save_checkpoint
+from repro.reliability.durable import atomic_write_text, read_bytes, sha256_bytes
 from repro.tensor import default_dtype
 
 #: Bump when the artifact layout changes incompatibly.
-PIPELINE_FORMAT_VERSION = 2
+PIPELINE_FORMAT_VERSION = 3
 
 MANIFEST_FILE = "manifest.json"
-WEIGHTS_FILE = "weights.npz"
+WEIGHTS_FILE = "weights.bin"
 VOCAB_FILE = "vocab.json"
 #: Sidecar mapping each artifact file to its SHA-256, written last so a
 #: crash mid-save leaves a missing (detectable) sidecar, never a stale one
@@ -215,22 +217,18 @@ class Pipeline:
         }
 
     def fingerprint(self) -> str:
-        """16-hex content digest of this pipeline (manifest + weight bytes).
+        """16-hex content digest of this pipeline: the manifest plus the weights digest.
 
-        Purely content-based — the manifest document plus every state-dict
-        array's name and raw bytes — so it is stable across replays of the
-        same deterministic run (unlike hashing the artifact files, whose npz
-        container embeds timestamps) and survives a save/load round-trip
-        unchanged.  Serving exposes it so operators can see *which* weights a
+        The weights digest is the SHA-256 of the exact ``weights.bin`` bytes
+        :func:`save_pipeline` writes (and ``checksums.json`` records), which
+        depend only on the parameters — so the fingerprint is stable across
+        replays of the same deterministic run and unchanged by a save/load
+        round-trip.  Serving exposes it so operators can see *which* weights a
         predictor is holding after a hot reload.
         """
         digest = hashlib.sha256()
         digest.update(json.dumps(self.manifest(), sort_keys=True).encode("utf-8"))
-        for name, value in sorted(self.model.state_dict().items()):
-            digest.update(name.encode("utf-8"))
-            array = np.ascontiguousarray(value)
-            digest.update(str(array.dtype).encode("utf-8"))
-            digest.update(array.tobytes())
+        digest.update(sha256_bytes(checkpoint_bytes(self.model)).encode("ascii"))
         return digest.hexdigest()[:16]
 
     def save(self, path: str | os.PathLike) -> str:
@@ -257,27 +255,47 @@ def save_pipeline(pipeline: Pipeline, path: str | os.PathLike) -> str:
     """
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    checksums: dict[str, str] = {}
-    save_checkpoint(pipeline.model, os.path.join(path, WEIGHTS_FILE))
-    checksums[WEIGHTS_FILE] = sha256_file(os.path.join(path, WEIGHTS_FILE))
-    checksums[VOCAB_FILE] = atomic_write_text(
-        os.path.join(path, VOCAB_FILE),
-        json.dumps(pipeline.vocab.to_spec()) + "\n")
-    checksums[MANIFEST_FILE] = atomic_write_text(
-        os.path.join(path, MANIFEST_FILE),
-        json.dumps(pipeline.manifest(), indent=2, sort_keys=True) + "\n")
+    checksums = {
+        WEIGHTS_FILE: save_checkpoint(pipeline.model, os.path.join(path, WEIGHTS_FILE)),
+        VOCAB_FILE: atomic_write_text(os.path.join(path, VOCAB_FILE),
+                                      json.dumps(pipeline.vocab.to_spec()) + "\n"),
+        MANIFEST_FILE: atomic_write_text(
+            os.path.join(path, MANIFEST_FILE),
+            json.dumps(pipeline.manifest(), indent=2, sort_keys=True) + "\n"),
+    }
     atomic_write_text(os.path.join(path, CHECKSUMS_FILE),
                       json.dumps(checksums, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def verify_pipeline(path: str | os.PathLike) -> dict[str, str]:
-    """Verify the artifact's recorded checksums; returns ``{file: digest}``.
+@dataclass(frozen=True)
+class FileCheck:
+    """One artifact file checked against its ``checksums.json`` entry."""
 
-    Raises :class:`PipelineError` naming every damaged or missing file.  Every
-    artifact is written with a ``checksums.json`` covering the manifest, the
-    weights and the vocabulary; one without it, or with a sidecar that does
-    not list all three, is refused.
+    name: str
+    expected: str
+    #: SHA-256 of the bytes on disk; ``None`` when the file is missing
+    actual: str | None
+    #: the bytes that were hashed, for callers that go on to parse them
+    data: bytes | None = field(default=None, repr=False)
+
+    @property
+    def status(self) -> str:
+        """``"ok"``, ``"CORRUPT"`` or ``"MISSING"``."""
+        if self.actual is None:
+            return "MISSING"
+        return "ok" if self.actual == self.expected else "CORRUPT"
+
+
+def check_artifact(path: str | os.PathLike) -> list[FileCheck]:
+    """Read every file ``checksums.json`` records, once, and check its digest.
+
+    Returns one :class:`FileCheck` per recorded file, in name order; damage
+    to those files is *reported*, not raised.  Raises :class:`PipelineError`
+    (one line) when the checks cannot even start: no artifact, no sidecar
+    (the export did not finish), a sidecar that is unreadable or not a JSON
+    object, one from an older format, or one that does not cover the
+    manifest, the weights and the vocabulary.
     """
     path = os.fspath(path)
     sidecar = os.path.join(path, CHECKSUMS_FILE)
@@ -287,31 +305,62 @@ def verify_pipeline(path: str | os.PathLike) -> dict[str, str]:
                 f"no pipeline artifact at '{path}' (missing {MANIFEST_FILE}); "
                 "expected a directory written by repro.serve.save_pipeline")
         raise PipelineError(
-            f"pipeline at '{path}' has no {CHECKSUMS_FILE}, so it cannot be "
-            "verified; the export did not finish — re-export it")
+            f"pipeline at '{path}' records no checksums (no {CHECKSUMS_FILE}); "
+            "the export did not finish — re-export it")
     try:
-        with open(sidecar, "r", encoding="utf-8") as handle:
-            recorded = json.load(handle)
-    except ValueError as error:
+        recorded = json.loads(read_bytes(sidecar, kind="pipeline"))
+    except (OSError, ValueError) as error:
         raise PipelineError(
-            f"pipeline at '{path}' has an unreadable {CHECKSUMS_FILE} "
-            f"({error}); the artifact is corrupt — re-export it") from error
+            f"cannot read {CHECKSUMS_FILE} in '{path}' ({error}); the artifact "
+            "is corrupt — re-export it") from error
+    if not isinstance(recorded, dict):
+        raise PipelineError(
+            f"pipeline at '{path}' has a {CHECKSUMS_FILE} that is not a JSON "
+            "object; the artifact is corrupt — re-export it")
+    if "weights.npz" in recorded:
+        raise PipelineError(
+            f"pipeline at '{path}' is an older artifact (weights.npz, format "
+            f"version 2 or earlier), but this build reads only version "
+            f"{PIPELINE_FORMAT_VERSION}; "
+            "re-export it with this build")
     unlisted = [name for name in (MANIFEST_FILE, WEIGHTS_FILE, VOCAB_FILE)
-                if not isinstance(recorded, dict) or name not in recorded]
+                if name not in recorded]
     if unlisted:
         raise PipelineError(
             f"pipeline at '{path}' has a {CHECKSUMS_FILE} that does not cover "
             f"{unlisted}; the artifact cannot be verified — re-export it")
-    damaged: list[str] = []
-    for name, digest in sorted(recorded.items()):
-        target = os.path.join(path, name)
-        if not os.path.exists(target) or sha256_file(target) != digest:
-            damaged.append(name)
+    checks = []
+    for name, expected in sorted(recorded.items()):
+        try:
+            data = read_bytes(os.path.join(path, name), kind="pipeline")
+        except FileNotFoundError:
+            checks.append(FileCheck(name, expected, None))
+            continue
+        except OSError as error:
+            raise PipelineError(
+                f"pipeline at '{path}' has an unreadable {name} ({error})") from error
+        checks.append(FileCheck(name, expected, sha256_bytes(data), data))
+    return checks
+
+
+def _verified(path: str) -> dict[str, FileCheck]:
+    """:func:`check_artifact`, refusing any damage; keyed by file name."""
+    checks = check_artifact(path)
+    damaged = [check.name for check in checks if check.status != "ok"]
     if damaged:
         raise PipelineError(
             f"pipeline at '{path}' is corrupted (checksum mismatch) in: "
             f"{damaged}; the artifact was damaged after export — re-export it")
-    return dict(recorded)
+    return {check.name: check for check in checks}
+
+
+def verify_pipeline(path: str | os.PathLike) -> dict[str, str]:
+    """Verify the artifact's recorded checksums; returns ``{file: digest}``.
+
+    Raises :class:`PipelineError` naming every damaged or missing file, or
+    when :func:`check_artifact` cannot start.
+    """
+    return {name: check.expected for name, check in _verified(os.fspath(path)).items()}
 
 
 def export_pipeline(model: FakeNewsDetector, path: str | os.PathLike, *,
@@ -339,18 +388,26 @@ def export_pipeline(model: FakeNewsDetector, path: str | os.PathLike, *,
 def read_manifest(path: str | os.PathLike) -> dict:
     """Read an artifact's ``manifest.json`` and check its format version.
 
-    The one manifest reader (:func:`load_pipeline`, ``Server.start`` and
-    ``repro verify`` all use it).  Raises :class:`PipelineError` when the
-    manifest is missing, unreadable or of a format version this build does
-    not read.
+    Raises :class:`PipelineError` when the manifest is missing, unreadable or
+    of a format version this build does not read.
     """
     path = os.fspath(path)
     try:
-        manifest = json.loads(_read_artifact_text(os.path.join(path, MANIFEST_FILE)))
-    except (OSError, ValueError) as error:
+        data = read_bytes(os.path.join(path, MANIFEST_FILE), kind="pipeline")
+    except OSError as error:
         raise PipelineError(
             f"no readable pipeline manifest at '{path}' ({error}); expected a "
             "directory written by repro.serve.save_pipeline") from error
+    return _parse_manifest(data, path)
+
+
+def _parse_manifest(data: bytes, path: str) -> dict:
+    try:
+        manifest = json.loads(data)
+    except ValueError as error:
+        raise PipelineError(
+            f"pipeline at '{path}' has an unreadable manifest ({error}); "
+            "re-export it") from error
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != PIPELINE_FORMAT_VERSION:
         raise PipelineError(
@@ -363,17 +420,18 @@ def read_manifest(path: str | os.PathLike) -> dict:
 def load_pipeline(path: str | os.PathLike) -> Pipeline:
     """Restore a pipeline saved by :func:`save_pipeline`.
 
-    The model is rebuilt with :func:`repro.models.build_model` under the
-    pipeline's dtype policy and the saved weights are loaded bit-for-bit, so
-    no training-time state beyond the artifact (and, for custom detectors or
-    channels, the same registration calls) is needed.
+    Each file is read once and checked against ``checksums.json`` before
+    anything is parsed.  The model is rebuilt with
+    :func:`repro.models.build_model` under the pipeline's dtype policy and the
+    saved weights are loaded bit-for-bit, so no training-time state beyond the
+    artifact (and, for custom detectors or channels, the same registration
+    calls) is needed.
     """
     path = os.fspath(path)
-    verify_pipeline(path)
-    manifest = read_manifest(path)
+    files = {name: check.data for name, check in _verified(path).items()}
+    manifest = _parse_manifest(files[MANIFEST_FILE], path)
     try:
-        vocab = Vocabulary.from_spec(
-            json.loads(_read_artifact_text(os.path.join(path, VOCAB_FILE))))
+        vocab = Vocabulary.from_spec(json.loads(files[VOCAB_FILE]))
         tokenizer = tokenizer_from_spec(manifest["tokenizer"])
         model_name = manifest["model"]["name"]
         model_config = ModelConfig.from_dict(manifest["model"]["config"])
@@ -388,9 +446,9 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
         raise PipelineError(
             f"pipeline at '{path}' needs a feature channel this process "
             f"cannot build: {error}") from error
-    except (OSError, KeyError, ValueError, TypeError) as error:
-        # Missing files, unknown tokenizer kinds, corrupt specs: surface them
-        # all as the documented "malformed artifact" error class.
+    except (KeyError, ValueError, TypeError) as error:
+        # Unknown tokenizer kinds, corrupt specs: surface them all as the
+        # documented "malformed artifact" error class.
         raise PipelineError(f"pipeline at '{path}' is malformed: {error}") from error
 
     with default_dtype(dtype):
@@ -402,10 +460,9 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
                 "the registry in this process; call repro.models.register_model("
                 f"'{model_name}', <class>) before load_pipeline") from error
         try:
-            load_checkpoint(model, os.path.join(path, WEIGHTS_FILE))
-        except PipelineError:
-            raise
-        except (OSError, KeyError, ValueError) as error:
+            restore_checkpoint(model, files[WEIGHTS_FILE],
+                               os.path.join(path, WEIGHTS_FILE))
+        except (KeyError, ValueError) as error:
             raise PipelineError(
                 f"pipeline at '{path}' has unloadable weights: {error}") from error
 
@@ -423,14 +480,3 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
         metadata=dict(manifest.get("metadata", {})),
         source_path=path,
     )
-
-
-def _read_artifact_text(path: str) -> str:
-    """Read a small artifact file under the default read-retry policy."""
-
-    def attempt() -> str:
-        fault_point("io.read", path=path, kind="pipeline")
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-
-    return default_read_policy().call(attempt)

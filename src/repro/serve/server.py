@@ -9,10 +9,11 @@ it, built for traffic that does not stop when a worker does:
   endpoint in :mod:`repro.serve.http`).  Requests are validated up front and
   queued as :class:`ServerTicket`\\ s.
 * **Shared micro-batch queue** — a dispatcher thread groups pending tickets
-  into :class:`repro.serve.worker.BatchJob`\\ s with the same discipline as
-  :class:`MicroBatcher` (flush on ``max_batch`` or on the oldest ticket
-  waiting ``max_latency_ms``), sheds tickets whose deadline already passed,
-  and assigns each batch to the least-loaded worker.
+  into :class:`repro.serve.worker.BatchJob`\\ s under the flush rule it shares
+  with :class:`MicroBatcher` (:func:`repro.serve.microbatch.flush_decision`:
+  flush on ``max_batch`` or on the oldest ticket waiting ``max_latency_ms``),
+  sheds tickets whose deadline already passed, and assigns each batch to the
+  least-loaded worker.
 * **Supervised worker pool** — a :class:`repro.reliability.pool.SupervisedPool`
   of OS processes, each of which loads the artifact once (checksum-verified)
   and scores batches through the fused ``no_grad`` path with a
@@ -52,6 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.reliability.pool import SupervisedPool, check_max_restarts
+from repro.serve.microbatch import flush_decision
 from repro.serve.pipeline import read_manifest, verify_pipeline
 from repro.serve.predictor import Prediction
 from repro.serve.stats import ServeStats
@@ -104,7 +106,7 @@ class ServerConfig:
 class ServerTicket:
     """Handle for one queued request; resolved by the collector thread."""
 
-    __slots__ = ("id", "text", "domain", "submitted_perf", "resolved_perf",
+    __slots__ = ("id", "text", "domain", "submitted_at", "resolved_perf",
                  "deadline", "batch_id", "_event", "_result", "_callbacks",
                  "_cb_lock")
 
@@ -113,7 +115,7 @@ class ServerTicket:
         self.id = ticket_id
         self.text = text
         self.domain = domain
-        self.submitted_perf = time.perf_counter()
+        self.submitted_at = time.perf_counter()
         self.resolved_perf: float | None = None
         #: absolute time.monotonic() deadline (None = wait forever)
         self.deadline = deadline
@@ -158,7 +160,7 @@ class ServerTicket:
             if self._event.is_set():
                 return False  # duplicate result (re-dispatched batch)
             self.resolved_perf = time.perf_counter()
-            prediction.latency_ms = (self.resolved_perf - self.submitted_perf) * 1e3
+            prediction.latency_ms = (self.resolved_perf - self.submitted_at) * 1e3
             self._result = prediction
             callbacks, self._callbacks = self._callbacks, []
             self._event.set()
@@ -457,24 +459,16 @@ class Server:
     # ------------------------------------------------------------------ #
     # Dispatcher                                                           #
     # ------------------------------------------------------------------ #
-    def _ready_locked(self) -> tuple[bool, float | None]:
-        if not self._pending:
-            return False, None
-        if len(self._pending) >= self.config.max_batch:
-            return True, None
-        waited_ms = (time.perf_counter() - self._pending[0].submitted_perf) * 1e3
-        if waited_ms >= self.config.max_latency_ms:
-            return True, None
-        return False, (self.config.max_latency_ms - waited_ms) / 1e3
-
     def _dispatch_loop(self) -> None:
         while True:
             expired: list[ServerTicket] = []
             with self._cond:
                 while not (self._stop_requested or self._flush_requested
                            or self._failed_reason is not None):
-                    ready, wait_s = self._ready_locked()
-                    if ready:
+                    reason, wait_s = flush_decision(
+                        self._pending, self.config.max_batch,
+                        self.config.max_latency_ms)
+                    if reason is not None:
                         break
                     self._cond.wait(wait_s)
                 if self._failed_reason is not None:
@@ -504,13 +498,12 @@ class Server:
                 alive.append(ticket)
         self._pending = alive
         entries: list[_Inflight] = []
-        while self._pending:
-            ready, _ = self._ready_locked()
-            if not (force or ready):
+        while True:
+            reason, _ = flush_decision(self._pending, self.config.max_batch,
+                                       self.config.max_latency_ms, force)
+            if reason is None:
                 break
             size = min(len(self._pending), self.config.max_batch)
-            reason = ("full" if size == self.config.max_batch
-                      else "drain" if force else "latency")
             tickets = [self._pending.popleft() for _ in range(size)]
             deadlines = [t.deadline for t in tickets if t.deadline is not None]
             job = BatchJob(

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments.io import load_results, report_to_dict, results_to_json, save_results
 from repro.metrics import evaluate_predictions
+from repro.serve import WEIGHTS_FILE
 
 
 def _report():
@@ -85,7 +86,7 @@ class TestServeCLI:
         assert code == 0
         assert "exported baseline" in capsys.readouterr().out
         assert (artifact / "manifest.json").exists()
-        assert (artifact / "weights.npz").exists()
+        assert (artifact / WEIGHTS_FILE).exists()
         assert (artifact / "vocab.json").exists()
 
         output = tmp_path / "predictions.json"

@@ -24,7 +24,7 @@ class TestCheckpointRoundtrip:
         source.eval()
         expected = source.predict_proba(sample_batch)
 
-        path = tmp_path / f"{name}.npz"
+        path = tmp_path / f"{name}.bin"
         save_checkpoint(source, path)
         target = build_model(name, model_config.with_overrides(seed=model_config.seed + 99))
         target.eval()
@@ -36,7 +36,7 @@ class TestCheckpointRoundtrip:
                                                 sample_batch, tmp_path):
         source = build_model(name, model_config)
         source.freeze()
-        path = tmp_path / f"{name}-frozen.npz"
+        path = tmp_path / f"{name}-frozen.bin"
         save_checkpoint(source, path)
         target = build_model(name, model_config)
         load_checkpoint(target, path)

@@ -242,7 +242,7 @@ class TestCheckpoints:
     def test_save_and_load_roundtrip(self, tmp_path):
         source = Linear(4, 3, rng=seeded_rng(0))
         target = Linear(4, 3, rng=seeded_rng(99))
-        path = tmp_path / "weights.npz"
+        path = tmp_path / "weights.bin"
         save_checkpoint(source, path)
         load_checkpoint(target, path)
         np.testing.assert_allclose(source.weight.numpy(), target.weight.numpy())
@@ -250,7 +250,7 @@ class TestCheckpoints:
 
     def test_load_strict_mismatch(self, tmp_path):
         source = Linear(4, 3, rng=seeded_rng(0))
-        path = tmp_path / "weights.npz"
+        path = tmp_path / "weights.bin"
         save_checkpoint(source, path)
         other = Linear(4, 4, rng=seeded_rng(1))
         with pytest.raises((KeyError, ValueError)):

@@ -21,7 +21,13 @@ import pytest
 from repro.core import Trainer, TrainerConfig
 from repro.models import build_model
 from repro.reliability import FaultPlan, InjectedFault, inject
-from repro.serve import Pipeline, PipelineError, load_pipeline, save_pipeline
+from repro.serve import (
+    WEIGHTS_FILE,
+    Pipeline,
+    PipelineError,
+    load_pipeline,
+    save_pipeline,
+)
 from repro.utils import set_global_seed
 
 
@@ -39,7 +45,7 @@ def test_chaos_smoke_crash_resume_export_corrupt_refuse(tmp_path, make_world):
     ref_losses = reference.fit(train, val).train_losses
 
     # Crash at batch 6 of epoch 0, with per-batch snapshots on.
-    snap = str(tmp_path / "trainer.snap.npz")
+    snap = str(tmp_path / "trainer.snap")
     crashed, train, val = build(TrainerConfig(epochs=2, learning_rate=2e-3,
                                               snapshot_path=snap, snapshot_every=1))
     with pytest.raises(InjectedFault):
@@ -66,7 +72,7 @@ def test_chaos_smoke_crash_resume_export_corrupt_refuse(tmp_path, make_world):
     assert prediction.ok and prediction.label in (0, 1)
 
     # One flipped byte anywhere in the artifact is refused with a readable error.
-    weights = os.path.join(artifact, "weights.npz")
+    weights = os.path.join(artifact, WEIGHTS_FILE)
     blob = bytearray(open(weights, "rb").read())
     blob[len(blob) // 2] ^= 0xFF
     open(weights, "wb").write(bytes(blob))

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro import cli
+from repro.serve import WEIGHTS_FILE
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)))), "src")
@@ -38,7 +39,7 @@ class TestPredictErrorPaths:
         assert "no pipeline artifact" in err
 
     def test_corrupt_artifact(self, artifact, capsys):
-        _flip_byte(os.path.join(artifact, "weights.npz"))
+        _flip_byte(os.path.join(artifact, WEIGHTS_FILE))
         code = cli.main(["predict", "--pipeline", artifact, "--text", "some news"])
         assert code == 2
         err = capsys.readouterr().err
@@ -87,7 +88,7 @@ class TestPredictSubprocess:
     def test_corrupt_artifact_prints_no_traceback_in_a_real_process(
             self, artifact, tmp_path):
         """The end-user view: exit 2, a one-line stderr, zero traceback."""
-        _flip_byte(os.path.join(artifact, "weights.npz"))
+        _flip_byte(os.path.join(artifact, WEIGHTS_FILE))
         env = dict(os.environ, PYTHONPATH=SRC)
         result = subprocess.run(
             [sys.executable, "-m", "repro.cli", "predict",
@@ -117,14 +118,14 @@ class TestVerifySubcommand:
         assert "channels=plm,style,emotion" in out
 
     def test_corrupt_file_is_named_with_both_digests(self, artifact, capsys):
-        _flip_byte(os.path.join(artifact, "weights.npz"))
+        _flip_byte(os.path.join(artifact, WEIGHTS_FILE))
         code = cli.main(["verify", "--pipeline", artifact])
         captured = capsys.readouterr()
         assert code == 2
         corrupt = [line for line in captured.out.splitlines()
                    if line.startswith("  CORRUPT")]
         assert len(corrupt) == 1
-        assert "weights.npz" in corrupt[0]
+        assert WEIGHTS_FILE in corrupt[0]
         assert "expected sha256=" in corrupt[0] and "actual=" in corrupt[0]
         assert "1 of" in captured.err and "damaged" in captured.err
         assert "Traceback" not in captured.err
@@ -157,6 +158,15 @@ class TestVerifySubcommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read checksums.json" in err
+
+    def test_checksums_file_that_is_not_an_object(self, artifact, capsys):
+        with open(os.path.join(artifact, "checksums.json"), "w") as handle:
+            handle.write('["manifest.json", "%s", "vocab.json"]' % WEIGHTS_FILE)
+        code = cli.main(["verify", "--pipeline", artifact])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("verify: ") and err.count("\n") == 1
+        assert "not a JSON object" in err
 
 
 class TestPoolFlagErrors:

@@ -75,7 +75,7 @@ class TestCheckpointCorruption:
     def checkpoint(self, tmp_path, make_world):
         world = make_world()
         model = build_model("textcnn_s", world.config)
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model.bin")
         save_checkpoint(model, path)
         return path, world.config
 
@@ -83,9 +83,8 @@ class TestCheckpointCorruption:
     def test_single_flipped_byte_is_refused(self, checkpoint, where):
         path, config = checkpoint
         size = os.path.getsize(path)
-        # "header" hits the first entry's filename (offset 35): zip structure
-        # damage.  "middle" hits array data: caught by the SHA-256 checksums.
-        # "tail" hits the central directory: unreadable archive.
+        # "header" hits the JSON index (offset 35), "middle" array data and
+        # "tail" the SHA-256 trailer; the trailer check catches all three.
         offset = {"header": 35, "middle": size // 2, "tail": size - 30}[where]
         _flip_byte(path, offset)
         with pytest.raises(CheckpointError):
@@ -102,7 +101,7 @@ class TestCheckpointCorruption:
         config = make_world().config
         with pytest.raises(CheckpointError, match="no checkpoint"):
             load_checkpoint(build_model("textcnn_s", config),
-                            str(tmp_path / "nowhere.npz"))
+                            str(tmp_path / "nowhere.bin"))
 
     def test_save_is_atomic_under_write_fault(self, checkpoint):
         path, config = checkpoint
@@ -146,7 +145,7 @@ class TestPipelineCorruption:
         del recorded[WEIGHTS_FILE]
         with open(sidecar, "w") as handle:
             json.dump(recorded, handle)
-        with pytest.raises(PipelineError, match="does not cover.*weights.npz"):
+        with pytest.raises(PipelineError, match=f"does not cover.*{WEIGHTS_FILE}"):
             load_pipeline(artifact)
 
     def test_missing_artifact_directory(self, tmp_path):
@@ -191,7 +190,7 @@ class TestSnapshotCorruption:
         trainer = Trainer(build_model("textcnn_s", world.config),
                           TrainerConfig(epochs=1, learning_rate=2e-3))
         trainer.fit(train)
-        path = str(tmp_path / "trainer.snap.npz")
+        path = str(tmp_path / "trainer.snap")
         trainer.snapshot(path)
         load_snapshot(path)  # sanity: intact snapshot round-trips
         _flip_byte(path, os.path.getsize(path) // 2)

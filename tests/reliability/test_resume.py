@@ -60,7 +60,7 @@ class TestTrainerResume:
             ref_history = reference.fit(train, val)
             ref_state = reference.model.state_dict()
 
-            snap = str(tmp_path / "trainer.snap.npz")
+            snap = str(tmp_path / "trainer.snap")
             crashed, train, val = _build_trainer(
                 world, TrainerConfig(epochs=2, learning_rate=2e-3,
                                      snapshot_path=snap, snapshot_every=1))
@@ -86,7 +86,7 @@ class TestTrainerResume:
             ref_losses = reference.fit(train, val).train_losses
 
             batches = len(train)
-            snap = str(tmp_path / "trainer.snap.npz")
+            snap = str(tmp_path / "trainer.snap")
             crashed, train, val = _build_trainer(
                 world, TrainerConfig(epochs=2, learning_rate=2e-3, snapshot_path=snap))
             with pytest.raises(InjectedFault):
@@ -108,7 +108,7 @@ class TestDTDBDResume:
             ref_weights = list(reference.weight_history)
             ref_state = reference.student.state_dict()
 
-            snap = str(tmp_path / "dtdbd.snap.npz")
+            snap = str(tmp_path / "dtdbd.snap")
             crashed, train, val = _build_dtdbd(
                 world, DTDBDConfig(epochs=2, learning_rate=2e-3,
                                    snapshot_path=snap, snapshot_every=1))
@@ -132,7 +132,7 @@ class TestSnapshotRobustness:
         reference, train, val = _build_trainer(world)
         ref_losses = reference.fit(train, val).train_losses
 
-        snap = str(tmp_path / "trainer.snap.npz")
+        snap = str(tmp_path / "trainer.snap")
         crashed, train, val = _build_trainer(
             world, TrainerConfig(epochs=2, learning_rate=2e-3,
                                  snapshot_path=snap, snapshot_every=1))
@@ -153,7 +153,7 @@ class TestSnapshotRobustness:
         reference, train, val = _build_trainer(world)
         ref_losses = reference.fit(train, val).train_losses
 
-        snap = str(tmp_path / "trainer.snap.npz")
+        snap = str(tmp_path / "trainer.snap")
         crashed, train, val = _build_trainer(
             world, TrainerConfig(epochs=2, learning_rate=2e-3,
                                  snapshot_path=snap, snapshot_every=1))

@@ -109,7 +109,7 @@ class TestRetryIntegration:
 
         world = make_world()
         model = build_model("textcnn_s", world.config)
-        path = str(tmp_path / "model.npz")
+        path = str(tmp_path / "model.bin")
         save_checkpoint(model, path)
         plan = FaultPlan().fail("io.read", times=2, error=OSError("flaky disk"))
         clone = build_model("textcnn_s", world.config)

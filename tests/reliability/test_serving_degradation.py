@@ -135,7 +135,8 @@ class TestHealth:
 
     def test_corrupted_artifact_degrades_health(self, predictor, artifact):
         import os
-        weights = os.path.join(artifact, "weights.npz")
+        from repro.serve import WEIGHTS_FILE
+        weights = os.path.join(artifact, WEIGHTS_FILE)
         blob = bytearray(open(weights, "rb").read())
         blob[100] ^= 0xFF
         open(weights, "wb").write(bytes(blob))

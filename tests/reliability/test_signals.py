@@ -66,7 +66,7 @@ def _sigterm_at_batch(target_batch: int) -> FaultPlan:
 class TestTrainerSignal:
     def test_sigterm_snapshots_and_raises(self, tmp_path, make_world):
         world = make_world()
-        snap = str(tmp_path / "trainer.snap.npz")
+        snap = str(tmp_path / "trainer.snap")
         trainer, train, val = _build_trainer(
             world, TrainerConfig(epochs=2, learning_rate=2e-3,
                                  snapshot_path=snap))
@@ -87,7 +87,7 @@ class TestTrainerSignal:
         ref_history = reference.fit(train, val)
         ref_state = reference.model.state_dict()
 
-        snap = str(tmp_path / "trainer.snap.npz")
+        snap = str(tmp_path / "trainer.snap")
         interrupted, train, val = _build_trainer(
             world, TrainerConfig(epochs=2, learning_rate=2e-3,
                                  snapshot_path=snap))
@@ -141,7 +141,7 @@ class TestDTDBDSignal:
         ref_history = reference.fit(train, val)
         ref_state = reference.student.state_dict()
 
-        snap = str(tmp_path / "dtdbd.snap.npz")
+        snap = str(tmp_path / "dtdbd.snap")
         interrupted, train, val = _build_dtdbd(
             world, DTDBDConfig(epochs=2, learning_rate=2e-3,
                                snapshot_path=snap))

@@ -3,11 +3,13 @@
 Covers the three model provenances the serving API promises to round-trip —
 a plain baseline, a DTDBD-distilled student and a user-registered custom
 detector — in both engine dtypes, plus the artifact error paths and the
-versioned checkpoint header.
+versioned weights container.
 """
 
+import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -22,16 +24,13 @@ from repro.models import (
     registry_name,
 )
 from repro.models.base import pooled_plm
-from repro.nn import (
-    CHECKPOINT_FORMAT_VERSION,
-    CheckpointError,
-    read_checkpoint_metadata,
-    save_checkpoint,
-)
+from repro.nn import WEIGHTS_FORMAT_VERSION, CheckpointError, save_checkpoint
+from repro.nn.serialization import MAGIC, checkpoint_bytes, decode_weights
 from repro.serve import (
     CHECKSUMS_FILE,
     MANIFEST_FILE,
     PIPELINE_FORMAT_VERSION,
+    WEIGHTS_FILE,
     Pipeline,
     PipelineError,
     load_pipeline,
@@ -228,9 +227,9 @@ class TestArtifactFormat:
         path = save_pipeline(
             _pipeline_for(model, tiny_vocab, tiny_encoder, tiny_dataset),
             tmp_path / "artifact3")
-        with open(os.path.join(path, "weights.npz"), "wb") as handle:
+        with open(os.path.join(path, WEIGHTS_FILE), "wb") as handle:
             handle.write(b"not an npz archive")
-        _reseal(path, "weights.npz")
+        _reseal(path, WEIGHTS_FILE)
         with pytest.raises(PipelineError, match="unloadable weights"):
             load_pipeline(path)
 
@@ -300,50 +299,45 @@ class TestArtifactFormat:
 
 
 class TestVersionedCheckpoints:
-    def test_header_written_and_readable(self, model_config, tmp_path):
+    def test_index_records_every_parameter(self, model_config, tmp_path):
         model = _build("textcnn_s", model_config, "float32")
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model.bin"
         save_checkpoint(model, path)
-        meta = read_checkpoint_metadata(path)
-        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert meta["dtype"] == "float32"
+        meta, arrays = decode_weights(path.read_bytes(), path)
+        assert meta is None
         state = model.state_dict()
-        assert meta["parameters"].keys() == state.keys()
-        for name, shape in meta["parameters"].items():
-            assert tuple(shape) == state[name].shape
+        assert arrays.keys() == state.keys()
+        for name, array in arrays.items():
+            assert array.dtype == np.float32
+            assert array.shape == state[name].shape
+            assert np.array_equal(array, state[name])
 
     def test_shape_mismatch_raises_checkpoint_error(self, model_config, tmp_path):
         from repro.nn import load_checkpoint
 
         source = _build("textcnn_s", model_config, "float64")
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model.bin"
         save_checkpoint(source, path)
         wrong = _build("textcnn_s", model_config.with_overrides(cnn_channels=4), "float64")
         with pytest.raises(CheckpointError, match="shapes differ"):
             load_checkpoint(wrong, path)
 
-    def test_legacy_headerless_checkpoint_still_loads(self, model_config,
-                                                      sample_batch, tmp_path):
+    def test_legacy_npz_checkpoint_refused_with_hint(self, model_config, tmp_path):
         from repro.nn import load_checkpoint
 
         source = _build("textcnn_s", model_config, "float64")
-        source.eval()
         path = tmp_path / "legacy.npz"
-        np.savez(path, **source.state_dict())  # PR-1-era format: bare state dict
-        assert read_checkpoint_metadata(path) is None
-        target = _build("textcnn_s", model_config.with_overrides(seed=99), "float64")
-        load_checkpoint(target, path)
-        np.testing.assert_allclose(target.eval().predict_proba(sample_batch),
-                                   source.predict_proba(sample_batch), atol=1e-12)
+        np.savez(path, **source.state_dict())  # the format earlier builds wrote
+        with pytest.raises(CheckpointError, match="legacy.npz.*re-save"):
+            load_checkpoint(source, path)
 
     def test_future_checkpoint_version_refused(self, model_config, tmp_path):
         from repro.nn import load_checkpoint
-        from repro.nn.serialization import CHECKPOINT_META_KEY
 
         model = _build("textcnn_s", model_config, "float64")
-        meta = {"format_version": CHECKPOINT_FORMAT_VERSION + 1, "parameters": {}}
-        np.savez(tmp_path / "future.npz",
-                 **{CHECKPOINT_META_KEY: np.array(json.dumps(meta))},
-                 **model.state_dict())
+        blob = bytearray(checkpoint_bytes(model))
+        struct.pack_into("<I", blob, len(MAGIC), WEIGHTS_FORMAT_VERSION + 1)
+        blob[-32:] = hashlib.sha256(blob[:-32]).digest()  # a well-formed file
+        (tmp_path / "future.bin").write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="format version"):
-            load_checkpoint(model, tmp_path / "future.npz")
+            load_checkpoint(model, tmp_path / "future.bin")

@@ -18,6 +18,7 @@ import pytest
 
 from repro.reliability import FaultPlan
 from repro.serve import (
+    WEIGHTS_FILE,
     PipelineError,
     Server,
     ServerConfig,
@@ -219,7 +220,7 @@ class TestSupervision:
 
         path = str(tmp_path / "damaged")
         save_pipeline(server_pipeline, path)
-        with open(os.path.join(path, "weights.npz"), "ab") as handle:
+        with open(os.path.join(path, WEIGHTS_FILE), "ab") as handle:
             handle.write(b"garbage")
         # Parent-side verification would catch this first; disable it so the
         # worker's own verify_pipeline is what trips.
