@@ -11,7 +11,8 @@ artifacts, flaky I/O, mid-epoch crashes, poisoned requests) is handled here.
   backoff, experiment-seeded jitter and deadline budgets, wrapped around
   frozen-encoder calls and artifact reads.
 * :mod:`repro.reliability.durable` — atomic temp-file + fsync + ``os.replace``
-  writes, the retried :func:`read_bytes` every artifact read goes through,
+  writes (singly, or as a group that skips unchanged files and syncs the
+  directory once), the retried :func:`read_bytes` every artifact read goes through,
   and the SHA-256 digests a pipeline's ``checksums.json`` records.
 * :mod:`repro.reliability.circuit` — :class:`CircuitBreaker`
   (closed/open/half-open with seeded probe jitter) converting a persistently
@@ -40,6 +41,7 @@ from repro.reliability.durable import (
     read_bytes,
     sha256_bytes,
     sha256_file,
+    write_changed_files,
 )
 from repro.reliability.faults import (
     FaultEvent,
@@ -61,5 +63,6 @@ __all__ = [
     "CircuitBreaker", "CircuitOpen",
     "watchdog", "WatchdogTimeout",
     "atomic_writer", "atomic_write_bytes", "atomic_write_text",
-    "read_bytes", "sha256_bytes", "sha256_file", "fsync_directory",
+    "write_changed_files", "read_bytes", "sha256_bytes", "sha256_file",
+    "fsync_directory",
 ]

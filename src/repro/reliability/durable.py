@@ -9,6 +9,12 @@ module.  The contract:
   — a crash mid-write leaves either the old file or the new file, never a
   truncated hybrid.  The containing directory is fsynced after the rename so
   the *name* is durable too.
+* **Grouped**: :func:`write_changed_files` lands a set of files in one
+  directory, skipping every file whose bytes on disk are already the new
+  bytes (a damaged file differs, so it is rewritten), and syncs the
+  directory once after the group instead of once per file.  A pipeline
+  export is two groups — the data files, then ``checksums.json`` — so it
+  syncs its directory twice, and the sidecar still lands last.
 * **Checksummed**: :func:`sha256_bytes` / :func:`sha256_file` give the
   digests a pipeline's ``checksums.json`` records; the weights container
   (:mod:`repro.nn.serialization`) carries its own SHA-256 trailer.  Readers
@@ -78,12 +84,15 @@ def fsync_directory(path: str | os.PathLike) -> None:
 
 @contextmanager
 def atomic_writer(path: str | os.PathLike, mode: str = "wb",
-                  encoding: str | None = None, fsync: bool = True) -> Iterator[IO]:
+                  encoding: str | None = None,
+                  sync_directory: bool = True) -> Iterator[IO]:
     """Yield a handle whose content replaces ``path`` atomically on success.
 
     On any exception inside the block the temporary file is removed and the
     destination is untouched.  ``mode`` must be a write mode (``"w"``/``"wb"``);
-    text mode defaults to UTF-8.
+    text mode defaults to UTF-8.  The file is always fsynced before the
+    rename; ``sync_directory=False`` leaves the directory fsync to a caller
+    that lands several files and syncs once (:func:`write_changed_files`).
     """
     if "w" not in mode:
         raise ValueError(f"atomic_writer needs a write mode, got {mode!r}")
@@ -98,10 +107,9 @@ def atomic_writer(path: str | os.PathLike, mode: str = "wb",
                                            else encoding)) as handle:
             yield handle
             handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
-        if fsync:
+        if sync_directory:
             fsync_directory(directory)
     except BaseException:
         try:
@@ -111,15 +119,42 @@ def atomic_writer(path: str | os.PathLike, mode: str = "wb",
         raise
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes,
-                       fsync: bool = True) -> str:
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> str:
     """Atomically write ``data`` to ``path``; returns its SHA-256 hex digest."""
-    with atomic_writer(path, "wb", fsync=fsync) as handle:
+    with atomic_writer(path, "wb") as handle:
         handle.write(data)
     return sha256_bytes(data)
 
 
-def atomic_write_text(path: str | os.PathLike, text: str,
-                      fsync: bool = True) -> str:
+def atomic_write_text(path: str | os.PathLike, text: str) -> str:
     """Atomically write UTF-8 ``text`` to ``path``; returns its SHA-256 digest."""
-    return atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _bytes_on_disk(path: str) -> bytes | None:
+    """The file's bytes, or ``None`` when it cannot be read (it gets rewritten)."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError:
+        return None
+
+
+def write_changed_files(directory: str | os.PathLike, files: dict[str, bytes]) -> None:
+    """Land ``{name: data}`` in ``directory``, then sync the directory once.
+
+    A file whose bytes on disk already equal ``data`` is left alone; every
+    other one is written atomically (temp file, file fsync, rename), in
+    ``files`` order, and the last of them syncs the directory.  When nothing
+    needs writing the directory is synced anyway, so renames of an earlier,
+    interrupted call become durable.
+    """
+    directory = os.fspath(directory)
+    changed = [name for name, data in files.items()
+               if _bytes_on_disk(os.path.join(directory, name)) != data]
+    for name in changed:
+        with atomic_writer(os.path.join(directory, name), "wb",
+                           sync_directory=name == changed[-1]) as handle:
+            handle.write(files[name])
+    if not changed:
+        fsync_directory(directory)

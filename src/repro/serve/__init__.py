@@ -9,8 +9,10 @@ servable artifact and answers "is this news item fake?" from raw text:
   channels + :class:`repro.models.ModelConfig` + engine dtype, with
   :func:`save_pipeline` / :func:`load_pipeline` persisting the whole bundle
   as one directory (``manifest.json`` + ``weights.bin`` + ``vocab.json`` +
-  ``checksums.json``); :func:`check_artifact` is the one per-file checksum
-  check behind :func:`verify_pipeline`, loading and ``repro verify``.
+  ``checksums.json``); :func:`write_artifact` is the one, incremental,
+  export (it rewrites only changed files and returns the digests) and
+  :func:`check_artifact` the one per-file checksum check behind
+  :func:`verify_pipeline`, loading and ``repro verify``.
   Models are reconstructed through :func:`repro.models.build_model`, so any
   detector registered with :func:`repro.models.register_model` round-trips.
 * :class:`Predictor` — ``predict(texts, domains=None) -> list[Prediction]``
@@ -48,6 +50,7 @@ from repro.serve.pipeline import (
     PIPELINE_FORMAT_VERSION,
     VOCAB_FILE,
     WEIGHTS_FILE,
+    ArtifactDigests,
     FileCheck,
     Pipeline,
     PipelineError,
@@ -57,6 +60,7 @@ from repro.serve.pipeline import (
     read_manifest,
     save_pipeline,
     verify_pipeline,
+    write_artifact,
 )
 from repro.serve.http import HttpFrontend
 from repro.serve.predictor import Prediction, Predictor
@@ -64,7 +68,8 @@ from repro.serve.server import Server, ServerConfig, ServerOverloaded, ServerTic
 from repro.serve.stats import ServeStats
 
 __all__ = [
-    "Pipeline", "PipelineError", "save_pipeline", "load_pipeline", "export_pipeline",
+    "Pipeline", "PipelineError", "save_pipeline", "write_artifact", "ArtifactDigests",
+    "load_pipeline", "export_pipeline",
     "verify_pipeline", "check_artifact", "FileCheck", "read_manifest",
     "Predictor", "Prediction",
     "MicroBatcher", "Ticket",

@@ -25,6 +25,12 @@ whose ``plm`` entry (``{"kind": "plm"}``) binds to that backend, and the
 weights are the flat container of :mod:`repro.nn.serialization`.  Older
 artifacts are refused with a hint to re-export them.
 
+Exports are incremental: :func:`write_artifact` builds each file's bytes
+and digest once, rewrites only the files whose bytes on disk differ (so a
+re-export after an adaptation lands ``weights.bin`` and ``checksums.json``,
+and a damaged file is repaired), and syncs the directory once after the data
+files and once after the sidecar.
+
 :func:`check_artifact` is the one checksum check: it reads every recorded
 file once and reports each one's status.  :func:`verify_pipeline`, ``repro
 verify`` and :func:`load_pipeline` all use it; loading then parses the same
@@ -32,7 +38,11 @@ bytes, restores the model under the pipeline's dtype policy and loads the
 weights bit-for-bit, so a loaded pipeline reproduces the exporting model's
 probabilities exactly (pinned by ``tests/serve/test_pipeline.py`` in both
 ``REPRO_DTYPE``\\ s).  The container's bytes depend only on the weights, so
-:meth:`Pipeline.fingerprint` is stable across replays and round-trips.
+:meth:`Pipeline.fingerprint` is stable across replays and round-trips.  A hot
+reload (``load_pipeline(path, reuse=served)``) still verifies every file, but
+when the manifest and vocabulary digests are those the served pipeline was
+loaded from it shares that pipeline's vocabulary, tokenizer, encoder backend
+and channels instead of rebuilding them; the model is always rebuilt.
 """
 
 from __future__ import annotations
@@ -62,8 +72,8 @@ from repro.encoders.channels import (
 from repro.encoders.pretrained import FrozenPretrainedEncoder
 from repro.models.base import FakeNewsDetector, ModelConfig
 from repro.models.registry import build_model, registry_name
-from repro.nn.serialization import checkpoint_bytes, restore_checkpoint, save_checkpoint
-from repro.reliability.durable import atomic_write_text, read_bytes, sha256_bytes
+from repro.nn.serialization import checkpoint_bytes, restore_checkpoint
+from repro.reliability.durable import read_bytes, sha256_bytes, write_changed_files
 from repro.tensor import default_dtype
 
 #: Bump when the artifact layout changes incompatibly.
@@ -80,6 +90,24 @@ CHECKSUMS_FILE = "checksums.json"
 
 class PipelineError(RuntimeError):
     """A pipeline artifact is missing, malformed or incompatible."""
+
+
+@dataclass(frozen=True)
+class ArtifactDigests:
+    """The content digests of one artifact, as written or as verified."""
+
+    #: SHA-256 per file name — exactly what ``checksums.json`` records
+    files: dict
+    #: :meth:`Pipeline.fingerprint` of the state the files hold
+    fingerprint: str
+
+
+def _fingerprint(manifest: dict, weights_digest: str) -> str:
+    """16-hex digest of a manifest document plus the SHA-256 of its weights."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+    digest.update(weights_digest.encode("ascii"))
+    return digest.hexdigest()[:16]
 
 
 def _model_dtype(model: FakeNewsDetector) -> str:
@@ -123,6 +151,10 @@ class Pipeline:
     #: ``None`` for in-memory pipelines).  ``Predictor.health`` re-verifies
     #: the artifact's checksums through it.
     source_path: str | None = None
+    #: The verified digests of the files this pipeline was loaded from (set
+    #: by :func:`load_pipeline`).  They describe the artifact, not the
+    #: current state: :meth:`fingerprint` always recomputes.
+    source_digests: ArtifactDigests | None = None
 
     def __post_init__(self):
         try:
@@ -226,10 +258,8 @@ class Pipeline:
         round-trip.  Serving exposes it so operators can see *which* weights a
         predictor is holding after a hot reload.
         """
-        digest = hashlib.sha256()
-        digest.update(json.dumps(self.manifest(), sort_keys=True).encode("utf-8"))
-        digest.update(sha256_bytes(checkpoint_bytes(self.model)).encode("ascii"))
-        return digest.hexdigest()[:16]
+        return _fingerprint(self.manifest(),
+                            sha256_bytes(checkpoint_bytes(self.model)))
 
     def save(self, path: str | os.PathLike) -> str:
         return save_pipeline(self, path)
@@ -245,27 +275,41 @@ class Pipeline:
         return Predictor(self, **kwargs)
 
 
-def save_pipeline(pipeline: Pipeline, path: str | os.PathLike) -> str:
-    """Write ``pipeline`` as a directory artifact at ``path``; returns the path.
+def write_artifact(pipeline: Pipeline, path: str | os.PathLike) -> ArtifactDigests:
+    """Write ``pipeline`` as a directory artifact at ``path``; returns its digests.
 
-    Every file is written atomically, and a ``checksums.json`` sidecar
-    recording each file's SHA-256 lands *last* — so a crash at any moment
-    leaves either a complete, verifiable artifact or one whose incompleteness
-    is detectable, never a silently inconsistent bundle.
+    Each file's bytes and SHA-256 are computed once.  A file whose bytes on
+    disk are already the new ones is kept, every other one is written
+    atomically and fsynced; the directory is synced once after the data
+    files and once after the ``checksums.json`` sidecar, which lands *last*.
+    So a crash at any moment leaves either a complete, verifiable artifact or
+    one whose damage is detectable, never a silently inconsistent bundle.
+    The returned fingerprint equals :meth:`Pipeline.fingerprint` of the
+    state written.
     """
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    checksums = {
-        WEIGHTS_FILE: save_checkpoint(pipeline.model, os.path.join(path, WEIGHTS_FILE)),
-        VOCAB_FILE: atomic_write_text(os.path.join(path, VOCAB_FILE),
-                                      json.dumps(pipeline.vocab.to_spec()) + "\n"),
-        MANIFEST_FILE: atomic_write_text(
-            os.path.join(path, MANIFEST_FILE),
-            json.dumps(pipeline.manifest(), indent=2, sort_keys=True) + "\n"),
+    manifest = pipeline.manifest()
+    files = {
+        WEIGHTS_FILE: checkpoint_bytes(pipeline.model),
+        VOCAB_FILE: (json.dumps(pipeline.vocab.to_spec()) + "\n").encode("utf-8"),
+        MANIFEST_FILE: (json.dumps(manifest, indent=2, sort_keys=True)
+                        + "\n").encode("utf-8"),
     }
-    atomic_write_text(os.path.join(path, CHECKSUMS_FILE),
-                      json.dumps(checksums, indent=2, sort_keys=True) + "\n")
-    return path
+    checksums = {name: sha256_bytes(data) for name, data in files.items()}
+    write_changed_files(path, files)
+    write_changed_files(path, {CHECKSUMS_FILE: (
+        json.dumps(checksums, indent=2, sort_keys=True) + "\n").encode("utf-8")})
+    return ArtifactDigests(checksums, _fingerprint(manifest, checksums[WEIGHTS_FILE]))
+
+
+def save_pipeline(pipeline: Pipeline, path: str | os.PathLike) -> str:
+    """Write ``pipeline`` as a directory artifact at ``path``; returns the path.
+
+    See :func:`write_artifact`, which also returns the artifact's digests.
+    """
+    write_artifact(pipeline, path)
+    return os.fspath(path)
 
 
 @dataclass(frozen=True)
@@ -294,8 +338,9 @@ def check_artifact(path: str | os.PathLike) -> list[FileCheck]:
     to those files is *reported*, not raised.  Raises :class:`PipelineError`
     (one line) when the checks cannot even start: no artifact, no sidecar
     (the export did not finish), a sidecar that is unreadable or not a JSON
-    object, one from an older format, or one that does not cover the
-    manifest, the weights and the vocabulary.
+    object, one with an entry that is not a plain file name inside the
+    artifact or whose digest is not a string, one from an older format, or
+    one that does not cover the manifest, the weights and the vocabulary.
     """
     path = os.fspath(path)
     sidecar = os.path.join(path, CHECKSUMS_FILE)
@@ -317,6 +362,16 @@ def check_artifact(path: str | os.PathLike) -> list[FileCheck]:
         raise PipelineError(
             f"pipeline at '{path}' has a {CHECKSUMS_FILE} that is not a JSON "
             "object; the artifact is corrupt — re-export it")
+    for name, expected in recorded.items():
+        if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+            raise PipelineError(
+                f"pipeline at '{path}' has a {CHECKSUMS_FILE} entry {name!r} that "
+                "is not a file name inside the artifact; the artifact is "
+                "corrupt — re-export it")
+        if not isinstance(expected, str):
+            raise PipelineError(
+                f"pipeline at '{path}' has a {CHECKSUMS_FILE} entry {name!r} whose "
+                "digest is not a string; the artifact is corrupt — re-export it")
     if "weights.npz" in recorded:
         raise PipelineError(
             f"pipeline at '{path}' is an older artifact (weights.npz, format "
@@ -417,7 +472,14 @@ def _parse_manifest(data: bytes, path: str) -> dict:
     return manifest
 
 
-def load_pipeline(path: str | os.PathLike) -> Pipeline:
+def _shares_parts(reuse: Pipeline | None, digests: dict) -> bool:
+    """Whether ``reuse`` was loaded from this manifest and vocabulary."""
+    source = reuse.source_digests if reuse is not None else None
+    return source is not None and all(
+        source.files.get(name) == digests[name] for name in (MANIFEST_FILE, VOCAB_FILE))
+
+
+def load_pipeline(path: str | os.PathLike, *, reuse: Pipeline | None = None) -> Pipeline:
     """Restore a pipeline saved by :func:`save_pipeline`.
 
     Each file is read once and checked against ``checksums.json`` before
@@ -426,18 +488,30 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
     saved weights are loaded bit-for-bit, so no training-time state beyond the
     artifact (and, for custom detectors or channels, the same registration
     calls) is needed.
+
+    ``reuse`` is the pipeline a hot reload replaces.  When the verified
+    manifest and vocabulary digests equal those it was loaded from, its
+    vocabulary, tokenizer, encoder backend and channels are shared instead of
+    parsed and rebuilt; the model is always a fresh one, so ``reuse`` is
+    never mutated.
     """
     path = os.fspath(path)
-    files = {name: check.data for name, check in _verified(path).items()}
+    checks = _verified(path)
+    files = {name: check.data for name, check in checks.items()}
+    digests = {name: check.expected for name, check in checks.items()}
     manifest = _parse_manifest(files[MANIFEST_FILE], path)
     try:
-        vocab = Vocabulary.from_spec(json.loads(files[VOCAB_FILE]))
-        tokenizer = tokenizer_from_spec(manifest["tokenizer"])
+        if _shares_parts(reuse, digests):
+            vocab, tokenizer, encoder = reuse.vocab, reuse.tokenizer, reuse.encoder
+            channels = list(reuse.channels)
+        else:
+            vocab = Vocabulary.from_spec(json.loads(files[VOCAB_FILE]))
+            tokenizer = tokenizer_from_spec(manifest["tokenizer"])
+            encoder = backend_from_spec(manifest["encoder_backend"])
+            channels = channels_from_specs(manifest["feature_channels"], encoder)
         model_name = manifest["model"]["name"]
         model_config = ModelConfig.from_dict(manifest["model"]["config"])
         dtype = manifest["dtype"]
-        encoder = backend_from_spec(manifest["encoder_backend"])
-        channels = channels_from_specs(manifest["feature_channels"], encoder)
     except EncoderBackendError as error:
         raise PipelineError(
             f"pipeline at '{path}' needs an encoder backend this process "
@@ -479,4 +553,6 @@ def load_pipeline(path: str | os.PathLike) -> Pipeline:
         channels=channels,
         metadata=dict(manifest.get("metadata", {})),
         source_path=path,
+        source_digests=ArtifactDigests(
+            digests, _fingerprint(manifest, digests[WEIGHTS_FILE])),
     )

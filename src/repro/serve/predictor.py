@@ -151,21 +151,28 @@ class Predictor:
         must still exist in the new pipeline.  Domain growth is allowed (continual
         onboarding re-exports with more domains); the per-domain served
         counters carry across reloads.
+
+        A directory reload shares the served pipeline's vocabulary,
+        tokenizer, encoder backend and channels when the verified manifest
+        and vocabulary are the ones it was loaded from (see
+        :func:`repro.serve.load_pipeline`), and takes the fingerprint from
+        the verified digests rather than re-serialising the model.
         """
         if isinstance(source, Pipeline):
-            pipeline = source
+            pipeline, fingerprint = source, source.fingerprint()
         else:
             from repro.serve.pipeline import load_pipeline
 
-            pipeline = load_pipeline(source)
+            pipeline = load_pipeline(source, reuse=self.pipeline)
+            fingerprint = pipeline.source_digests.fingerprint
         if self.default_domain >= pipeline.model_config.num_domains:
             raise KeyError(
                 f"default domain {self.default_domain} does not exist in the "
                 f"new pipeline ({pipeline.model_config.num_domains} domains)")
         self._bind_pipeline(pipeline)
         self.reloads += 1
-        self.last_reload_fingerprint = pipeline.fingerprint()
-        return self.last_reload_fingerprint
+        self.last_reload_fingerprint = fingerprint
+        return fingerprint
 
     # ------------------------------------------------------------------ #
     # Encoding (training-parity path)                                      #

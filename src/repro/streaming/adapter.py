@@ -3,10 +3,10 @@
 The :class:`OnlineAdapter` owns the *training copy* of the served model: its
 ``pipeline.model`` is fine-tuned in place, and every adaptation ends with an
 atomic checksummed re-export of the pipeline artifact (via
-:func:`repro.serve.save_pipeline` / ``reliability.durable``) that a
-:class:`repro.serve.Predictor` hot-reloads from disk.  Because pipeline
-save/load round-trips are bit-exact, the served weights equal the training
-copy exactly.
+:func:`repro.serve.write_artifact` / ``reliability.durable``, which rewrites
+only the files that changed) that a :class:`repro.serve.Predictor`
+hot-reloads from disk.  Because pipeline save/load round-trips are
+bit-exact, the served weights equal the training copy exactly.
 
 Two reactions are supported:
 
@@ -37,7 +37,7 @@ from repro.data.loader import DataLoader
 from repro.data.streambuffer import StreamWindowBuffer
 from repro.models.base import FakeNewsDetector
 from repro.models.expand import expand_domains
-from repro.serve.pipeline import Pipeline, save_pipeline
+from repro.serve.pipeline import Pipeline, write_artifact
 from repro.tensor import default_dtype
 
 
@@ -117,7 +117,7 @@ class OnlineAdapter:
         self.trainer = self._build_trainer()
         # The first export makes the artifact exist before any traffic, so a
         # predictor can be pointed at export_path from ordinal zero.
-        save_pipeline(self.pipeline, self.config.export_path)
+        write_artifact(self.pipeline, self.config.export_path)
 
     @property
     def distilled(self) -> bool:
@@ -181,12 +181,12 @@ class OnlineAdapter:
         self.pipeline.model.eval()
         if self.config.snapshot_path is not None:
             self.trainer.snapshot(self.config.snapshot_path)
-        save_pipeline(self.pipeline, self.config.export_path)
+        exported = write_artifact(self.pipeline, self.config.export_path)
         record = AdaptationRecord(
             ordinal=ordinal, reason=reason, items=len(items),
             touched_rows=int(touched.size),
             epochs=self.config.epochs_per_adaptation, losses=losses,
-            fingerprint=self.pipeline.fingerprint())
+            fingerprint=exported.fingerprint)
         self.adaptations.append(record)
         return record
 
@@ -231,7 +231,7 @@ class OnlineAdapter:
             self.trainer._teacher_caches = old_trainer._teacher_caches
 
         self.pipeline.model.eval()
-        save_pipeline(self.pipeline, self.config.export_path)
+        exported = write_artifact(self.pipeline, self.config.export_path)
         record = {
             "ordinal": ordinal,
             "domain": name,
@@ -239,7 +239,7 @@ class OnlineAdapter:
             "num_domains": new_count,
             "donor": donor,
             "grown": list(grown),
-            "fingerprint": self.pipeline.fingerprint(),
+            "fingerprint": exported.fingerprint,
         }
         self.onboardings.append(record)
         return record
