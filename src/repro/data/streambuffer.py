@@ -45,10 +45,13 @@ class StreamWindowBuffer:
         Each item is validated (label in ``{REAL, FAKE}``, domain inside the
         loader dataset's current domain count — which grows on continual
         onboarding), encoded with the loader's vocab/max_length/tokenizer,
-        and run through every loader channel so the overwritten rows are
-        indistinguishable from rows encoded at construction.  One write of
-        more than ``capacity`` items is refused: the ring would overwrite its
-        own fresh data mid-call.
+        and run through every channel in ``loader.channels`` so the
+        overwritten rows are indistinguishable from rows encoded at
+        construction.  Each feature array has its channel, so no row goes
+        stale; to compute fewer channels, narrow the loader first (as
+        :class:`repro.streaming.OnlineAdapter` does).  One write of more than
+        ``capacity`` items is refused: the ring would overwrite its own fresh
+        data mid-call.
         """
         if not items:
             return np.empty(0, dtype=np.int64)

@@ -25,6 +25,7 @@ from repro.encoders.channels import (
     build_feature_channel,
     channels_from_specs,
     register_feature_channel,
+    required_channels,
     stock_channels,
 )
 from repro.encoders.features import (
@@ -49,4 +50,5 @@ __all__ = [
     "FEATURE_CHANNELS", "STOCK_CHANNELS",
     "register_feature_channel", "available_feature_channels",
     "build_feature_channel", "channels_from_specs", "stock_channels",
+    "required_channels",
 ]

@@ -18,6 +18,9 @@ through ``DataBundle`` and the pipeline manifest to ``serve.Predictor``.
   pipeline manifest stores, reconstructed through :data:`FEATURE_CHANNELS`
   in any process that performed the same :func:`register_feature_channel`.
 
+Only the channels a model reads are computed: :func:`required_channels`
+selects them from a channel list by the models' ``required_features``.
+
 The ``plm`` spec is just ``{"kind": "plm"}``: the manifest stores the encoder
 backend once, and :func:`channels_from_specs` binds every ``plm`` spec to it.
 Custom channels follow the same two-step custom-model recipe
@@ -243,3 +246,19 @@ STOCK_CHANNELS: tuple[str, ...] = ("plm", "style", "emotion")
 def stock_channels(backend: EncoderBackend) -> list[FeatureChannel]:
     """The three stock channels, with ``plm`` bound to ``backend``."""
     return [PLMChannel(backend), StyleChannel(), EmotionChannel()]
+
+
+def required_channels(channels: Sequence[FeatureChannel],
+                      *models) -> list[FeatureChannel]:
+    """The ``channels``, in their given order, that some model reads.
+
+    A channel is read when its name appears in some model's
+    ``required_features``; ``None`` entries of ``models`` (an absent
+    teacher) read nothing.  This is the one rule for what gets computed:
+    serving (:attr:`repro.serve.Pipeline.served_channels`) and the streaming
+    ring (:class:`repro.streaming.OnlineAdapter`) compute exactly these
+    channels and skip the rest.
+    """
+    read = {name for model in models if model is not None
+            for name in model.required_features}
+    return [channel for channel in channels if channel.name in read]

@@ -67,6 +67,7 @@ from repro.encoders.channels import (
     FeatureChannelError,
     PLMChannel,
     channels_from_specs,
+    required_channels,
     stock_channels,
 )
 from repro.encoders.pretrained import FrozenPretrainedEncoder
@@ -124,10 +125,12 @@ class Pipeline:
     Build one with :meth:`from_training` (deriving the registry name and the
     dtype from the model itself), persist it with :meth:`save` and restore it
     with :func:`load_pipeline`.  :meth:`predictor` attaches the raw-text
-    inference front-end.  Every ``plm`` channel must be bound to ``encoder``
-    (same backend fingerprint): serving computes ``plm`` through the
-    pipeline's encoder, so a channel bound elsewhere would be scored on the
-    wrong features.
+    inference front-end.  The channels must include every one the model
+    lists in ``required_features``; serving computes exactly those
+    (:attr:`served_channels`).  Every ``plm`` channel must be bound to
+    ``encoder`` (same backend fingerprint): serving computes ``plm`` through
+    the pipeline's encoder, so a channel bound elsewhere would be scored on
+    the wrong features.
     """
 
     model_name: str
@@ -142,7 +145,7 @@ class Pipeline:
     max_length: int
     domain_names: list[str]
     dtype: str
-    #: The :class:`FeatureChannel` objects serving recomputes, in order;
+    #: The :class:`FeatureChannel` objects the manifest records, in order;
     #: ``None`` means :func:`~repro.encoders.stock_channels` of ``encoder``.
     #: After ``__post_init__`` this is always a list.
     channels: "list[FeatureChannel] | None" = None
@@ -178,6 +181,13 @@ class Pipeline:
                 raise PipelineError(
                     f"feature channel '{name}' is listed more than once; each "
                     "channel name must be unique")
+        missing = [name for name in self.model.required_features
+                   if name not in names]
+        if missing:
+            raise PipelineError(
+                f"model '{self.model_name}' reads feature channels {missing} "
+                f"that the pipeline does not provide (it has {names}); pass "
+                "channels that include them")
         for channel in self.channels:
             if (isinstance(channel, PLMChannel) and channel.backend is not self.encoder
                     and channel.backend.fingerprint() != self.encoder.fingerprint()):
@@ -189,6 +199,15 @@ class Pipeline:
                     f"{self.encoder.fingerprint()}); serving would compute plm "
                     "with the pipeline's encoder — bind the channel to it")
         self.model.eval()
+
+    @property
+    def served_channels(self) -> "list[FeatureChannel]":
+        """The channels serving computes: those the model reads, in order.
+
+        :func:`~repro.encoders.required_channels` of :attr:`channels` and
+        the model; the manifest still records every channel.
+        """
+        return required_channels(self.channels, self.model)
 
     # ------------------------------------------------------------------ #
     @classmethod

@@ -4,9 +4,10 @@ The :class:`Predictor` closes the gap between "I have a string" and
 ``FakeNewsDetector.predict``: it tokenises, encodes and pads exactly like the
 training-time :class:`repro.data.DataLoader` (the shared implementation is
 :func:`repro.data.encode_texts` — parity is pinned by
-``tests/serve/test_predictor.py``), recomputes the pipeline's feature
-channels (frozen-encoder ``plm``, handcrafted ``style`` / ``emotion``) and
-runs the model under ``no_grad`` with fused kernels in the pipeline's dtype.
+``tests/serve/test_predictor.py``), recomputes the feature channels the
+model reads (frozen-encoder ``plm``, handcrafted ``style`` / ``emotion``)
+and runs the model under ``no_grad`` with fused kernels in the pipeline's
+dtype.
 
 Padding defaults to the pipeline's training ``max_length`` so serving is
 bit-identical to training-time encoding.  ``bucket_size`` opts into
@@ -218,9 +219,12 @@ class Predictor:
         Mirrors :class:`repro.data.DataLoader` exactly: shared
         :func:`repro.data.encode_texts` truncation+padding, mask cast to the
         pipeline dtype *before* feature extraction, every floating channel
-        cast to the pipeline dtype after extraction.  Channels recompute
-        through their :meth:`~repro.encoders.FeatureChannel.serve` hooks over
-        one shared :class:`~repro.encoders.ServeRequest` — the handcrafted
+        cast to the pipeline dtype after extraction.  Only the channels the
+        model reads are computed (:attr:`Pipeline.served_channels`, the
+        model's ``required_features``), so the batch holds exactly those;
+        each is bit-equal to the loader's.  Channels recompute through their
+        :meth:`~repro.encoders.FeatureChannel.serve` hooks over one shared
+        :class:`~repro.encoders.ServeRequest` — the handcrafted
         ``style``/``emotion`` channels read its lazily tokenised
         *untruncated* raw texts (like the training extractors), so one
         tokenisation pass feeds both, and the ``plm`` channel goes through
@@ -242,7 +246,7 @@ class Predictor:
         request = ServeRequest(texts, token_ids, mask,
                                encode_plm=self._encode_plm)
         features = {}
-        for channel in pipeline.channels:
+        for channel in pipeline.served_channels:
             values = np.asarray(channel.serve(request))
             features[channel.name] = values.astype(compute_dtype, copy=False)
         return Batch(

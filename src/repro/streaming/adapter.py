@@ -35,6 +35,7 @@ from repro.core.trainer import Trainer, TrainerConfig
 from repro.data.dataset import NewsItem
 from repro.data.loader import DataLoader
 from repro.data.streambuffer import StreamWindowBuffer
+from repro.encoders.channels import required_channels
 from repro.models.base import FakeNewsDetector
 from repro.models.expand import expand_domains
 from repro.serve.pipeline import Pipeline, write_artifact
@@ -90,7 +91,16 @@ class AdaptationRecord:
 
 
 class OnlineAdapter:
-    """Reacts to drift / feedback by fine-tuning and re-exporting the student."""
+    """Reacts to drift / feedback by fine-tuning and re-exporting the student.
+
+    The adapter takes ownership of ``loader`` (the ring the adaptations
+    train on): at construction it keeps only the feature channels the
+    student or either teacher reads (:func:`repro.encoders.required_channels`)
+    and drops the rest from ``loader.channels`` and ``loader.features``, so
+    each ring write re-encodes exactly the kept channels.  A later read of a
+    dropped channel fails with :meth:`repro.data.Batch.feature`'s
+    ``KeyError``.
+    """
 
     def __init__(self, pipeline: Pipeline, loader: DataLoader,
                  config: AdapterConfig,
@@ -103,6 +113,10 @@ class OnlineAdapter:
             raise ValueError(
                 "loader and pipeline disagree on domain names: "
                 f"{loader.dataset.domain_names} vs {pipeline.domain_names}")
+        loader.channels = required_channels(loader.channels, pipeline.model,
+                                            unbiased_teacher, clean_teacher)
+        loader.features = {channel.name: loader.features[channel.name]
+                           for channel in loader.channels}
         self.pipeline = pipeline
         self.loader = loader
         self.config = config

@@ -10,7 +10,8 @@ The contract of the backend and channel registries, end to end:
   in a *fresh process* and reproduces its probabilities bit-for-bit in both
   engine dtypes;
 * failure modes (unregistered backend/channel kinds, a ``plm`` channel bound
-  to another backend) surface as readable :class:`PipelineError`\\ s.
+  to another backend, a channel the model reads missing) surface as
+  readable :class:`PipelineError`\\ s.
 """
 
 import json
@@ -73,6 +74,17 @@ def probe_texts(tiny_splits):
 def _read_manifest(path):
     with open(os.path.join(path, MANIFEST_FILE)) as handle:
         return json.load(handle)
+
+
+def _rewrite_manifest(path, manifest):
+    """Replace an artifact's manifest and re-bless it in ``checksums.json``."""
+    manifest_path = os.path.join(path, MANIFEST_FILE)
+    atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
+    checksums_path = os.path.join(path, CHECKSUMS_FILE)
+    with open(checksums_path) as handle:
+        checksums = json.load(handle)
+    checksums[MANIFEST_FILE] = sha256_file(manifest_path)
+    atomic_write_text(checksums_path, json.dumps(checksums))
 
 
 def _stock_pipeline(model_config, tiny_vocab, encoder, tiny_dataset, dtype,
@@ -172,6 +184,11 @@ class TestCustomChannelRoundTrip:
         assert expected.dtype == np.dtype(dtype)
         loaded = load_pipeline(save_pipeline(pipeline, tmp_path / "artifact"))
         assert [ch.name for ch in loaded.channels] == ["plm", helper.CHANNEL_KIND]
+        # The model declares its custom channel, so serving computes it.
+        assert [ch.name for ch in loaded.served_channels] == [
+            "plm", helper.CHANNEL_KIND]
+        batch = loaded.predictor().encode_batch(texts, domains=domains)
+        assert list(batch.features) == ["plm", helper.CHANNEL_KIND]
         # The reloaded plm channel shares the pipeline's backend instance.
         assert loaded.channels[0].backend is loaded.encoder
         np.testing.assert_array_equal(
@@ -234,13 +251,7 @@ class TestFailureModes:
         manifest["encoder_backend"] = {
             "kind": "remote", "encoder": tiny_encoder.to_spec(),
             "max_rows_per_request": 3, "coalesce": True}
-        manifest_path = os.path.join(path, MANIFEST_FILE)
-        atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
-        checksums_path = os.path.join(path, CHECKSUMS_FILE)
-        with open(checksums_path) as handle:
-            checksums = json.load(handle)
-        checksums[MANIFEST_FILE] = sha256_file(manifest_path)
-        atomic_write_text(checksums_path, json.dumps(checksums))
+        _rewrite_manifest(path, manifest)
 
         with pytest.raises(PipelineError,
                            match="unknown encoder backend kind 'remote'"):
@@ -306,6 +317,45 @@ class TestFailureModes:
                 model, tiny_vocab, tiny_encoder, max_length=16,
                 domain_names=tiny_dataset.domain_names,
                 channels=[StyleChannel(), EmotionChannel(), StyleChannel()])
+
+    def test_channel_the_model_reads_missing_refused(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        """An m3fend pipeline without style/emotion would fail on its first
+        request; the pipeline refuses it at construction instead."""
+        backend = LocalBackend(tiny_encoder)
+        with default_dtype("float64"):
+            model = build_model("m3fend", model_config)
+        with pytest.raises(PipelineError, match=(
+                r"model 'm3fend' reads feature channels \['style', 'emotion'\] "
+                "that the pipeline does not provide")):
+            Pipeline.from_training(
+                model, tiny_vocab, backend, max_length=16,
+                domain_names=tiny_dataset.domain_names,
+                channels=[PLMChannel(backend)])
+
+    def test_artifact_missing_a_read_channel_refused_on_load_and_reload(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+            probe_texts, tmp_path):
+        """An artifact whose manifest drops a channel its model reads (checksums
+        intact) is refused by load_pipeline; a hot reload from it fails and
+        the predictor keeps serving the old pipeline."""
+        texts, domains = probe_texts
+        pipeline = _stock_pipeline(model_config, tiny_vocab, tiny_encoder,
+                                   tiny_dataset, "float64", name="m3fend")
+        predictor = pipeline.predictor()
+        expected = predictor.predict_proba(texts, domains=domains)
+        path = save_pipeline(pipeline, tmp_path / "artifact")
+        manifest = _read_manifest(path)
+        manifest["feature_channels"] = [{"kind": "plm"}, {"kind": "style"}]
+        _rewrite_manifest(path, manifest)
+
+        with pytest.raises(PipelineError, match=r"reads feature channels \['emotion'\]"):
+            load_pipeline(path)
+        with pytest.raises(PipelineError, match=r"reads feature channels \['emotion'\]"):
+            predictor.reload(path)
+        assert predictor.pipeline is pipeline
+        np.testing.assert_array_equal(
+            predictor.predict_proba(texts, domains=domains), expected)
 
 
 class TestBackendHealthReporting:

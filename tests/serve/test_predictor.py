@@ -3,15 +3,22 @@
 The load-bearing test here is the *parity* suite: the serving path must
 produce byte-identical token ids, masks, feature channels and probabilities
 to the training-time :class:`repro.data.DataLoader` for the same texts — in
-both engine dtypes.  That is the contract that makes an exported pipeline's
-predictions trustworthy stand-ins for the table numbers.
+both engine dtypes.  Serving computes only the channels the model reads, and
+each of those equals the loader's.  That is the contract that makes an
+exported pipeline's predictions trustworthy stand-ins for the table numbers.
 """
 
 import numpy as np
 import pytest
 
 from repro.data import DataLoader, MultiDomainNewsDataset, NewsItem
-from repro.encoders import LocalBackend, stock_channels
+from repro.encoders import (
+    EmotionChannel,
+    LocalBackend,
+    PLMChannel,
+    StyleChannel,
+    stock_channels,
+)
 from repro.models import build_model
 from repro.serve import Pipeline
 from repro.tensor import default_dtype
@@ -44,9 +51,14 @@ class TestTrainingParity:
                               batch_size=len(items), shuffle=False,
                               channels=stock_channels(LocalBackend(tiny_encoder)))
 
-    def test_encode_batch_matches_dataloader(self, dtype, model_config, tiny_vocab,
-                                             tiny_encoder, tiny_dataset, probe_items):
-        pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset, dtype)
+    # One model per stock channel combination, so plm, style and emotion
+    # all stay under serve/loader parity.
+    @pytest.mark.parametrize("name", ["textcnn_s", "m3fend", "dualemo", "stylelstm"])
+    def test_encode_batch_matches_dataloader(self, dtype, name, model_config,
+                                             tiny_vocab, tiny_encoder, tiny_dataset,
+                                             probe_items):
+        pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+                             dtype, name=name)
         predictor = pipeline.predictor()
         loader = self._loader(probe_items, tiny_dataset, tiny_vocab, tiny_encoder, dtype)
         expected = loader.full_batch()
@@ -56,11 +68,12 @@ class TestTrainingParity:
         assert batch.mask.dtype == expected.mask.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(batch.mask, expected.mask)
         np.testing.assert_array_equal(batch.domains, expected.domains)
-        assert set(batch.features) == set(expected.features)
-        for name in expected.features:
-            assert batch.features[name].dtype == expected.features[name].dtype
-            np.testing.assert_array_equal(batch.features[name],
-                                          expected.features[name])
+        # Serving computes exactly the channels the model reads.
+        assert tuple(batch.features) == pipeline.model.required_features
+        for channel in batch.features:
+            assert batch.features[channel].dtype == expected.features[channel].dtype
+            np.testing.assert_array_equal(batch.features[channel],
+                                          expected.features[channel])
 
     def test_probabilities_match_training_batch_path(self, dtype, model_config,
                                                      tiny_vocab, tiny_encoder,
@@ -86,6 +99,60 @@ class TestTrainingParity:
         np.testing.assert_array_equal(batch.token_ids, loader.full_batch().token_ids)
         assert batch.token_ids.shape[1] == 16
         assert batch.mask.sum() == 16
+
+
+class _ServeCounter:
+    """Mixin counting :meth:`~repro.encoders.FeatureChannel.serve` calls."""
+
+    served = 0
+
+    def serve(self, request):
+        self.served += 1
+        return super().serve(request)
+
+
+class SpyStyle(_ServeCounter, StyleChannel):
+    pass
+
+
+class SpyEmotion(_ServeCounter, EmotionChannel):
+    pass
+
+
+class TestServedChannels:
+    """Serving computes only the channels the model reads."""
+
+    def _spied(self, name, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        backend = LocalBackend(tiny_encoder)
+        with default_dtype("float64"):
+            model = build_model(name, model_config)
+        channels = [PLMChannel(backend), SpyStyle(), SpyEmotion()]
+        pipeline = Pipeline.from_training(model, tiny_vocab, backend, max_length=16,
+                                          domain_names=tiny_dataset.domain_names,
+                                          channels=channels)
+        return pipeline, channels[1], channels[2]
+
+    def test_student_never_serves_style_or_emotion(self, model_config, tiny_vocab,
+                                                  tiny_encoder, tiny_dataset,
+                                                  probe_items):
+        pipeline, style, emotion = self._spied("textcnn_s", model_config, tiny_vocab,
+                                               tiny_encoder, tiny_dataset)
+        predictor = pipeline.predictor()
+        predictor.predict([item.text for item in probe_items])
+        predictor.predict_safe(["health probe", ""])
+        assert predictor.health()["checks"]["inference"] == "ok"
+        assert (style.served, emotion.served) == (0, 0)
+        assert [channel.name for channel in pipeline.served_channels] == ["plm"]
+        # The manifest still records every channel.
+        assert [spec["kind"] for spec in pipeline.manifest()["feature_channels"]] == [
+            "plm", "style", "emotion"]
+
+    def test_multi_view_model_serves_every_channel_it_reads(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset, probe_items):
+        pipeline, style, emotion = self._spied("m3fend", model_config, tiny_vocab,
+                                               tiny_encoder, tiny_dataset)
+        pipeline.predictor().predict([item.text for item in probe_items])
+        assert (style.served, emotion.served) == (1, 1)
 
 
 class TestPredict:

@@ -259,3 +259,73 @@ class TestOnlineAdapter:
             AdapterConfig(export_path="x", epochs_per_adaptation=0)
         with pytest.raises(ValueError, match="min_feedback"):
             AdapterConfig(export_path="x", min_feedback=0)
+
+
+def _ring_reference(loader, pipeline):
+    """A loader built from scratch over the ring's current items."""
+    _, vocab = corpus()
+    with default_dtype(pipeline.dtype):
+        return DataLoader(
+            MultiDomainNewsDataset(list(loader.dataset.items),
+                                   domain_names=list(loader.dataset.domain_names)),
+            vocab, max_length=MAX_LENGTH, batch_size=16, shuffle=False, seed=0,
+            channels=stock_channels(pipeline.encoder))
+
+
+def _assert_ring_matches(loader, reference):
+    np.testing.assert_array_equal(loader.token_ids, reference.token_ids)
+    np.testing.assert_array_equal(loader.mask, reference.mask)
+    np.testing.assert_array_equal(loader.labels, reference.labels)
+    np.testing.assert_array_equal(loader.domains, reference.domains)
+    for name, values in loader.features.items():
+        assert values.dtype == reference.features[name].dtype
+        np.testing.assert_array_equal(values, reference.features[name])
+
+
+class TestRingChannels:
+    """The adapter narrows its ring loader to the channels its models read."""
+
+    def _distilled(self, dtype, export_path):
+        """TextCNN-S student, DAT-IE teacher (TextCNN-S) and MDFEND teacher."""
+        from repro.models import build_model
+        from streaming_helpers import small_config
+
+        pipeline = build_pipeline(dtype, "textcnn_s")
+        dataset, _ = corpus()
+        with default_dtype(dtype):
+            unbiased = build_model("textcnn_s", small_config(dataset.num_domains, seed=6))
+            clean = build_model("mdfend", small_config(dataset.num_domains, seed=7))
+        return OnlineAdapter(pipeline, ring_loader(pipeline),
+                             AdapterConfig(export_path=str(export_path),
+                                           min_feedback=4),
+                             unbiased_teacher=unbiased, clean_teacher=clean)
+
+    def test_student_and_teachers_keep_only_plm(self, tmp_path):
+        adapter = self._distilled("float64", tmp_path / "artifact")
+        loader = adapter.loader
+        assert [channel.name for channel in loader.channels] == ["plm"]
+        assert list(loader.features) == ["plm"]
+        with pytest.raises(KeyError, match="no feature channel 'style'"):
+            loader.full_batch().feature("style")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_kept_rows_match_a_fresh_loader_after_adaptation(self, dtype, tmp_path):
+        adapter = self._distilled(dtype, tmp_path / "artifact")
+        for item in _fresh_items(12):
+            adapter.ingest(item)
+        assert adapter.adapt("feedback", ordinal=1) is not None
+        _assert_ring_matches(adapter.loader,
+                             _ring_reference(adapter.loader, adapter.pipeline))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_multi_view_student_keeps_every_channel(self, dtype, tmp_path):
+        pipeline = build_pipeline(dtype, "m3fend")
+        adapter = OnlineAdapter(pipeline, ring_loader(pipeline),
+                                AdapterConfig(export_path=str(tmp_path / "artifact"),
+                                              min_feedback=4))
+        assert list(adapter.loader.features) == ["plm", "style", "emotion"]
+        for item in _fresh_items(12):
+            adapter.ingest(item)
+        assert adapter.adapt("feedback", ordinal=1) is not None
+        _assert_ring_matches(adapter.loader,
+                             _ring_reference(adapter.loader, pipeline))
