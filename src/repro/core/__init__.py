@@ -14,14 +14,13 @@ from repro.core.distill import (
     domain_knowledge_distillation_loss,
     teacher_forward,
 )
-from repro.core.dtdbd import DTDBDConfig, DTDBDResult, DTDBDTrainer, run_dtdbd_pipeline
+from repro.core.dtdbd import DTDBDConfig, DTDBDTrainer
 from repro.core.interrupt import TrainingInterrupted, trap_termination
 from repro.core.momentum import (
     ConstantWeightScheduler,
     MomentumWeightScheduler,
     WeightSnapshot,
 )
-from repro.core.reweighting import DomainReweightedTrainer, domain_balanced_weights
 from repro.core.snapshot import SnapshotError, load_snapshot, save_snapshot
 from repro.core.trainer import Trainer, TrainerConfig, collect_features, evaluate_model
 
@@ -34,6 +33,5 @@ __all__ = [
     "correlation_matrix", "adversarial_debiasing_distillation_loss",
     "domain_knowledge_distillation_loss", "teacher_forward", "TeacherCache",
     "MomentumWeightScheduler", "ConstantWeightScheduler", "WeightSnapshot",
-    "DTDBDConfig", "DTDBDResult", "DTDBDTrainer", "run_dtdbd_pipeline",
-    "DomainReweightedTrainer", "domain_balanced_weights",
+    "DTDBDConfig", "DTDBDTrainer",
 ]

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.callbacks import EpochRecord, TrainingHistory
-from repro.core.trainer import TrainerConfig, evaluate_model
+from repro.core.callbacks import TrainingHistory
+from repro.core.trainer import Trainer, TrainerConfig
 from repro.data.loader import Batch, DataLoader
 from repro.models.base import FakeNewsDetector
-from repro.nn import Adam, GradientClipper, GradientReversal, MLP, Module
+from repro.nn import GradientReversal, MLP, Module
 from repro.tensor import Tensor, functional as F
 from repro.utils import seeded_rng
 
@@ -112,34 +112,16 @@ def train_unbiased_teacher(backbone: FakeNewsDetector, train_loader: DataLoader,
 
     This is stage one of Algorithm 1: the returned backbone is the frozen
     *unbiased teacher* ``T_f`` used by the adversarial de-biasing distillation.
+    The :class:`DomainAdversarialModel` wrapper runs through the one
+    :class:`~repro.core.trainer.Trainer` loop; validation scores the backbone.
     """
     config = config or DATConfig()
     wrapper = DomainAdversarialModel(backbone, train_loader.num_domains,
                                      config=config, seed=seed)
-    optimizer = Adam(wrapper.parameters(), lr=config.learning_rate)
-    clipper = GradientClipper(config.max_grad_norm)
-    history = TrainingHistory()
-    for epoch in range(config.epochs):
-        wrapper.train()
-        losses = []
-        for batch in train_loader:
-            optimizer.zero_grad()
-            loss, _ = wrapper.compute_loss(batch)
-            loss.backward()
-            clipper.clip(optimizer.parameters)
-            optimizer.step()
-            losses.append(loss.item())
-        record = EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)) if losses else 0.0)
-        if val_loader is not None:
-            report = evaluate_model(backbone, val_loader)
-            record.val_f1 = report.overall_f1
-            record.val_total_bias = report.total
-            record.val_fned = report.fned
-            record.val_fped = report.fped
-        history.append(record)
-        if config.verbose:
-            print(f"[DAT-IE] epoch {epoch}: loss={record.train_loss:.4f} "
-                  f"F1={record.val_f1} total={record.val_total_bias}")
+    history = Trainer(wrapper, TrainerConfig(
+        epochs=config.epochs, learning_rate=config.learning_rate,
+        max_grad_norm=config.max_grad_norm, verbose=config.verbose,
+    )).fit(train_loader, val_loader)
     backbone.eval()
     return backbone, history
 
@@ -159,5 +141,4 @@ def train_dat_student(backbone: FakeNewsDetector, train_loader: DataLoader,
 __all__ = [
     "DATConfig", "DomainAdversarialModel",
     "train_unbiased_teacher", "train_dat_student",
-    "TrainerConfig",
 ]

@@ -17,12 +17,14 @@ capture *everything* a trainer needs to continue a run after a crash:
   epoch's materialised index permutation — the permutation cannot be
   re-derived after a crash because the shuffle stream has already advanced
   past it;
-* trainer-specific extras (early-stopping state, the DTDBD weight scheduler,
-  ``weight_history``) via the ``extra`` metadata dict.
+* the early-stopping state, plus subclass extras merged into the header
+  (``DTDBDTrainer`` adds its weight scheduler and ``weight_history``);
+* the writing trainer's class name and the model's name, which
+  ``Trainer.resume`` checks before it restores anything.
 
-This module holds the pack/unpack helpers ``Trainer`` and ``DTDBDTrainer``
-share, plus :func:`save_snapshot` / :func:`load_snapshot`, which write and
-read the container and word its refusals as :class:`SnapshotError`: a
+This module holds the pack/unpack helpers ``Trainer`` uses, plus
+:func:`save_snapshot` / :func:`load_snapshot`, which write and read the
+container and word its refusals as :class:`SnapshotError`: a
 corrupt, truncated or older-format snapshot is refused instead of resuming
 from damaged state.
 """
@@ -114,7 +116,7 @@ def restore_module_rng_states(module: Module, states: list[dict]) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Shared capture/restore pieces used by Trainer and DTDBDTrainer               #
+# Capture/restore pieces used by Trainer (and its DTDBDTrainer subclass)      #
 # --------------------------------------------------------------------------- #
 def pack_model_state(model: Module, arrays: dict[str, np.ndarray]) -> None:
     for name, array in model.state_dict().items():

@@ -1,8 +1,13 @@
-"""Generic supervised trainer for the baseline detectors.
+"""The one training loop.
 
-All baselines of Tables VI and VII (and the teacher models) are trained with
-this class: Adam, gradient clipping, per-epoch validation with the F1 and
-domain-bias metrics, optional early stopping.
+Every model this repository trains goes through :class:`Trainer`: the
+baselines of Tables VI and VII, the clean teacher, the DAT-IE unbiased
+teacher (:func:`repro.core.dat.train_unbiased_teacher` wraps the backbone in
+a domain-adversarial head) and the DTDBD student
+(:class:`repro.core.dtdbd.DTDBDTrainer` overrides the batch loss and the
+per-epoch weight update).  The loop is Adam, gradient clipping, per-epoch
+validation with the F1 and domain-bias metrics, optional early stopping, and
+crash-resumable snapshots.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from repro.core.callbacks import EarlyStopping, EpochRecord, TrainingHistory
 from repro.core.interrupt import TerminationTrap, TrainingInterrupted, trap_termination
 from repro.core.snapshot import (
+    SnapshotError,
     load_snapshot,
     module_rng_states,
     pack_adam_state,
@@ -33,7 +39,7 @@ from repro.metrics import EvaluationReport, evaluate_predictions
 from repro.models.base import FakeNewsDetector
 from repro.nn import Adam, GradientClipper
 from repro.reliability.faults import fault_point
-from repro.tensor import no_grad
+from repro.tensor import Tensor, no_grad
 from repro.utils import get_rng_state, set_rng_state
 
 
@@ -103,7 +109,14 @@ def collect_features(model: FakeNewsDetector, loader: DataLoader,
 
 
 class Trainer:
-    """Standard cross-entropy training loop (used for every baseline)."""
+    """The epoch loop every training stage runs through.
+
+    Subclasses change what a step optimises by overriding :meth:`_loss`,
+    what happens after each epoch by overriding :meth:`_validate`, and what
+    else a snapshot carries with :meth:`_snapshot_extra` /
+    :meth:`_restore_extra`.  The plain trainer minimises the model's own
+    ``compute_loss``.
+    """
 
     def __init__(self, model: FakeNewsDetector, config: TrainerConfig | None = None):
         self.model = model
@@ -135,10 +148,15 @@ class Trainer:
         raise TrainingInterrupted(self._trap.signal_name,
                                   self.config.snapshot_path)
 
-    def _training_step(self, batch) -> float:
-        """One optimiser update; returns the batch loss (override point)."""
-        self.optimizer.zero_grad()
+    def _loss(self, batch) -> Tensor:
+        """The objective of one training batch (override point)."""
         loss, _ = self.model.compute_loss(batch)
+        return loss
+
+    def _training_step(self, batch) -> float:
+        """One optimiser update; returns the batch loss."""
+        self.optimizer.zero_grad()
+        loss = self._loss(batch)
         loss.backward()
         self.clipper.clip(self.optimizer.parameters)
         self.optimizer.step()
@@ -209,7 +227,10 @@ class Trainer:
                     if self.config.verbose:
                         bias = f", bias={record.val_total_bias:.3f}" if record.val_total_bias is not None else ""
                         f1 = f", F1={record.val_f1:.3f}" if record.val_f1 is not None else ""
-                        print(f"[{self.model.name}] epoch {epoch}: loss={train_loss:.4f}{f1}{bias}")
+                        extras = "".join(f", {key}={value:.2f}"
+                                         for key, value in record.extras.items())
+                        print(f"[{self.model.name}] epoch {epoch}: "
+                              f"loss={train_loss:.4f}{f1}{bias}{extras}")
                     if (self._stopper is not None and record.val_f1 is not None
                             and self._stopper.update(record.val_f1)):
                         self._stopped = True
@@ -226,11 +247,8 @@ class Trainer:
         """Trainer-subclass metadata merged into the snapshot header."""
         return {}
 
-    def _restore_extra(self, extra: dict) -> None:
-        """Inverse of :meth:`_snapshot_extra`."""
-
-    def _snapshot_kind(self) -> str:
-        return type(self).__name__
+    def _restore_extra(self, meta: dict) -> None:
+        """Inverse of :meth:`_snapshot_extra`; receives the whole header."""
 
     def snapshot(self, path: str | os.PathLike) -> None:
         """Atomically capture everything needed to continue this run.
@@ -241,7 +259,7 @@ class Trainer:
         fallback, loader shuffle, module-local dropout generators).
         """
         meta = {
-            "trainer": self._snapshot_kind(),
+            "trainer": type(self).__name__,
             "model": self.model.name,
             "cursor": {
                 "epoch": self._epoch,
@@ -258,7 +276,7 @@ class Trainer:
                            if self._train_loader is not None else None),
                 "modules": module_rng_states(self.model),
             },
-            "extra": self._snapshot_extra(),
+            **self._snapshot_extra(),
         }
         arrays: dict[str, np.ndarray] = {}
         pack_model_state(self.model, arrays)
@@ -276,12 +294,26 @@ class Trainer:
         ``train_loader`` to restore its shuffle stream immediately; without
         it, the stream is restored on the next :meth:`fit`/:meth:`train_epoch`
         call.
+
+        A snapshot written by a different trainer class, or for a model of a
+        different name, is refused with :class:`SnapshotError` before any
+        state changes.
         """
         meta, arrays = load_snapshot(path)
+        recorded = (meta.get("trainer"), meta.get("model"))
+        expected = (type(self).__name__, self.model.name)
+        if recorded != expected:
+            raise SnapshotError(
+                f"'{os.fspath(path)}' was written by {recorded[0]} training "
+                f"model {recorded[1]!r}, but this is {expected[0]} training "
+                f"model {expected[1]!r}; resume with the trainer and model "
+                "that wrote it")
         unpack_model_state(self.model, arrays)
         unpack_adam_state(self.optimizer, meta, arrays)
         self.history = unpack_history(meta["history"])
-        self._stopper = unpack_early_stopping(meta["early_stopping"])
+        # DTDBDTrainer snapshots from before it shared this loop carry no
+        # early-stopping entry; DTDBD never stops early.
+        self._stopper = unpack_early_stopping(meta.get("early_stopping"))
         cursor = meta["cursor"]
         self._epoch = int(cursor["epoch"])
         self._stopped = bool(cursor.get("stopped", False))
@@ -302,7 +334,7 @@ class Trainer:
                 self._pending_loader_state = None
             else:
                 self._pending_loader_state = rng["loader"]
-        self._restore_extra(meta.get("extra", {}))
+        self._restore_extra(meta)
         return self
 
     def _apply_pending_loader_state(self, loader: DataLoader) -> None:
@@ -315,6 +347,9 @@ class Trainer:
                         model_name: str | None = None,
                         metadata=None) -> str:
         """Bundle the trained model into a servable artifact at ``path``.
+
+        For :class:`repro.core.dtdbd.DTDBDTrainer` that is the distilled
+        student: the paper deploys the lightweight student, not the teachers.
 
         Thin wrapper over :func:`repro.serve.export_pipeline`; ``vocab``,
         ``encoder`` and ``max_length`` must be the ones the training loaders

@@ -135,13 +135,6 @@ class MultiDomainNewsDataset:
         return MultiDomainNewsDataset(items, self.domain_names,
                                       name=name or f"{self.name}/subset")
 
-    def filter_domain(self, domain: int | str) -> "MultiDomainNewsDataset":
-        """Return the subset of items belonging to ``domain`` (index or name)."""
-        if isinstance(domain, str):
-            domain = self.domain_names.index(domain)
-        indices = [i for i, item in enumerate(self.items) if item.domain == domain]
-        return self.subset(indices, name=f"{self.name}/{self.domain_names[domain]}")
-
     def build_vocabulary(self, min_freq: int = 1, max_size: int | None = None,
                          tokenizer: WhitespaceTokenizer | None = None) -> Vocabulary:
         tokenizer = tokenizer or WhitespaceTokenizer()

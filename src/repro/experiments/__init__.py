@@ -4,7 +4,6 @@ from repro.experiments.config import (
     ExperimentConfig,
     default_chinese_config,
     default_english_config,
-    fast_test_config,
 )
 from repro.experiments.runner import (
     TABLE6_BASELINES,
@@ -57,7 +56,7 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
-    "ExperimentConfig", "default_chinese_config", "default_english_config", "fast_test_config",
+    "ExperimentConfig", "default_chinese_config", "default_english_config",
     "DataBundle", "prepare_data", "export_pipeline",
     "train_baseline", "train_unbiased", "train_dtdbd_student",
     "run_comparison", "run_table3", "run_table8_ablation", "run_table9_dat_comparison",

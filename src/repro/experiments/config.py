@@ -118,15 +118,3 @@ def default_english_config(**overrides) -> ExperimentConfig:
         encoder_backend=_env_str("REPRO_ENCODER_BACKEND", "local"),
     )
     return config.with_overrides(**overrides) if overrides else config
-
-
-def fast_test_config(dataset: str = "chinese") -> ExperimentConfig:
-    """Tiny configuration used by the unit/integration test-suite."""
-    base = default_chinese_config() if dataset == "chinese" else default_english_config()
-    return base.with_overrides(
-        scale=0.05 if dataset == "chinese" else 0.02,
-        epochs=2,
-        max_length=16,
-        dat=DATConfig(epochs=2, learning_rate=2e-3),
-        dtdbd=DTDBDConfig(epochs=2, learning_rate=2e-3),
-    )

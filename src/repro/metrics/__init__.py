@@ -2,7 +2,6 @@
 
 from repro.metrics.classification import (
     accuracy,
-    confusion_matrix,
     f1_score,
     macro_f1,
     precision_recall_f1,
@@ -15,15 +14,13 @@ from repro.metrics.fairness import (
     fned,
     fped,
     rolling_domain_bias,
-    satisfies_disparate_mistreatment,
-    total_equality_difference,
 )
 from repro.metrics.report import EvaluationReport, evaluate_predictions
 
 __all__ = [
-    "accuracy", "confusion_matrix", "f1_score", "macro_f1", "precision_recall_f1",
+    "accuracy", "f1_score", "macro_f1", "precision_recall_f1",
     "false_negative_rate", "false_positive_rate",
     "DomainBiasReport", "domain_bias_report", "rolling_domain_bias",
-    "fned", "fped", "total_equality_difference", "satisfies_disparate_mistreatment",
+    "fned", "fped",
     "EvaluationReport", "evaluate_predictions",
 ]

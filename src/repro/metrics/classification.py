@@ -15,18 +15,6 @@ def _validate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.nd
     return y_true, y_pred
 
 
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int = 2) -> np.ndarray:
-    """Return the ``(num_classes, num_classes)`` confusion matrix ``C[i, j]``.
-
-    ``C[i, j]`` counts samples with true class ``i`` predicted as class ``j``.
-    """
-    y_true, y_pred = _validate(y_true, y_pred)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, pred in zip(y_true, y_pred):
-        matrix[true, pred] += 1
-    return matrix
-
-
 def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true, y_pred = _validate(y_true, y_pred)
     if y_true.size == 0:

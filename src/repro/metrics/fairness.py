@@ -165,14 +165,6 @@ def fped(y_true: np.ndarray, y_pred: np.ndarray, domains: np.ndarray,
     return domain_bias_report(y_true, y_pred, domains, names).fped
 
 
-def total_equality_difference(y_true: np.ndarray, y_pred: np.ndarray, domains: np.ndarray,
-                              num_domains: int) -> float:
-    """``FNED + FPED`` — the "Total" column of Tables VI-IX."""
-    names = [str(i) for i in range(num_domains)]
-    report = domain_bias_report(y_true, y_pred, domains, names)
-    return report.total
-
-
 def rolling_domain_bias(y_true: np.ndarray, y_pred: np.ndarray, domains: np.ndarray,
                         domain_names: list[str], window: int) -> DomainBiasReport:
     """Windowed :func:`domain_bias_report` over the trailing ``window`` rows.
@@ -193,19 +185,9 @@ def rolling_domain_bias(y_true: np.ndarray, y_pred: np.ndarray, domains: np.ndar
                               domain_names)
 
 
-def satisfies_disparate_mistreatment(report: DomainBiasReport, tolerance: float = 0.05) -> bool:
-    """Definition 3: every pair of domains has |FNR_i - FNR_j| and |FPR_i - FPR_j| <= tolerance."""
-    fnr_values = list(report.fnr_per_domain.values())
-    fpr_values = list(report.fpr_per_domain.values())
-    fnr_spread = max(fnr_values) - min(fnr_values) if fnr_values else 0.0
-    fpr_spread = max(fpr_values) - min(fpr_values) if fpr_values else 0.0
-    return fnr_spread <= tolerance and fpr_spread <= tolerance
-
-
 __all__ = [
     "false_positive_rate", "false_negative_rate",
     "DomainBiasReport", "domain_bias_report", "rolling_domain_bias",
-    "fned", "fped", "total_equality_difference",
-    "satisfies_disparate_mistreatment",
+    "fned", "fped",
     "REAL_LABEL", "FAKE_LABEL",
 ]

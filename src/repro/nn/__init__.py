@@ -12,17 +12,12 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.conv import Conv1d, GlobalMaxPool1d, GlobalMeanPool1d, TextCNNEncoder
+from repro.nn.conv import Conv1d, GlobalMaxPool1d, TextCNNEncoder
 from repro.nn.recurrent import GRU, GRUCell, LSTM, LSTMCell, lstm_expert_scan
 from repro.nn.attention import AttentionPooling, ExpertGate
 from repro.nn.grl import GradientReversal, gradient_reversal
-from repro.nn.losses import (
-    BCEWithLogitsLoss,
-    CrossEntropyLoss,
-    KLDistillationLoss,
-    MSELoss,
-)
-from repro.nn.optim import SGD, Adam, GradientClipper, Optimizer, StepLR
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.optim import Adam, GradientClipper, Optimizer
 from repro.nn.serialization import (
     WEIGHTS_FORMAT_VERSION,
     CheckpointError,
@@ -34,11 +29,11 @@ __all__ = [
     "Module", "ModuleList", "Sequential",
     "Linear", "Embedding", "Dropout", "LayerNorm", "MLP",
     "ReLU", "Tanh", "Sigmoid", "GELU",
-    "Conv1d", "GlobalMaxPool1d", "GlobalMeanPool1d", "TextCNNEncoder",
+    "Conv1d", "GlobalMaxPool1d", "TextCNNEncoder",
     "GRU", "GRUCell", "LSTM", "LSTMCell", "lstm_expert_scan",
     "AttentionPooling", "ExpertGate",
     "GradientReversal", "gradient_reversal",
-    "CrossEntropyLoss", "BCEWithLogitsLoss", "MSELoss", "KLDistillationLoss",
-    "Optimizer", "SGD", "Adam", "GradientClipper", "StepLR",
+    "CrossEntropyLoss",
+    "Optimizer", "Adam", "GradientClipper",
     "save_checkpoint", "load_checkpoint", "CheckpointError", "WEIGHTS_FORMAT_VERSION",
 ]

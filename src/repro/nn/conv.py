@@ -58,13 +58,6 @@ class GlobalMaxPool1d(Module):
         return x.max(axis=1)
 
 
-class GlobalMeanPool1d(Module):
-    """Mean over the time axis of ``(batch, seq, channels)``."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.mean(axis=1)
-
-
 class TextCNNEncoder(Module):
     """Parallel multi-kernel convolutional text encoder (Kim, 2014).
 

@@ -1,4 +1,4 @@
-"""Loss modules wrapping the functional losses."""
+"""The cross-entropy loss module."""
 
 from __future__ import annotations
 
@@ -20,31 +20,3 @@ class CrossEntropyLoss(Module):
         if self.class_weights is not None:
             sample_weights = self.class_weights[np.asarray(targets, dtype=np.int64)]
         return F.cross_entropy(logits, targets, weights=sample_weights)
-
-
-class BCEWithLogitsLoss(Module):
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        return F.binary_cross_entropy_with_logits(logits, targets)
-
-
-class MSELoss(Module):
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        return F.mse_loss(prediction, target)
-
-
-class KLDistillationLoss(Module):
-    """Temperature-scaled KL distillation loss ``tau^2 KL(teacher || student)``.
-
-    Shared by the domain knowledge distillation (Eq. 12) and, applied to
-    sample-correlation matrices instead of logits, the adversarial de-biasing
-    distillation (Eq. 6).
-    """
-
-    def __init__(self, temperature: float = 1.0):
-        super().__init__()
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        self.temperature = temperature
-
-    def forward(self, student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
-        return F.distillation_kl(student_logits, teacher_logits, temperature=self.temperature)

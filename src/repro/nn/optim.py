@@ -1,4 +1,4 @@
-"""Gradient-descent optimisers and learning-rate schedulers."""
+"""The Adam optimiser and global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -26,30 +26,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: list[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            parameter.data = parameter.data - self.lr * grad
 
 
 class Adam(Optimizer):
@@ -144,22 +120,3 @@ class GradientClipper:
                 if parameter.grad is not None:
                     parameter.grad = parameter.grad * scale
         return total
-
-
-class StepLR:
-    """Multiply the optimiser learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int = 10, gamma: float = 0.5):
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr

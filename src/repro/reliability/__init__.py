@@ -6,7 +6,10 @@ artifacts, flaky I/O, mid-epoch crashes, poisoned requests) is handled here.
 
 * :mod:`repro.reliability.faults` — seeded fault-injection harness
   (:class:`FaultPlan`, :func:`inject`, :func:`fault_point`) instrumenting the
-  I/O, encoder, trainer-step and serving-flush call sites.
+  I/O, encoder, trainer-step and serving-flush call sites.  ``trainer.step``
+  sits in the one ``Trainer`` loop, so it fires on every optimiser update of
+  every stage: baselines, the clean teacher, DTDBD distillation and DAT-IE
+  unbiased-teacher training.
 * :mod:`repro.reliability.retry` — :class:`RetryPolicy` with exponential
   backoff, experiment-seeded jitter and deadline budgets, wrapped around
   frozen-encoder calls and artifact reads.

@@ -14,7 +14,7 @@ Public API
 ``fused``
     Single-node fused kernels with analytic backwards (the fast path).
 ``init``
-    Weight initialisation schemes (Xavier/Glorot, Kaiming/He, uniform).
+    Weight initialisation schemes (Xavier/Glorot uniform, normal, constants).
 ``set_default_dtype`` / ``get_default_dtype`` / ``default_dtype``
     Global float32/float64 compute policy.
 """

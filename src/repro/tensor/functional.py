@@ -116,22 +116,6 @@ def cross_entropy_reference(logits: Tensor, targets: np.ndarray,
     return nll_loss(log_softmax_reference(logits, axis=-1), targets, weights=weights)
 
 
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Numerically stable binary cross-entropy on raw logits."""
-    targets_t = Tensor(np.asarray(targets))
-    # log(1 + exp(-|x|)) + max(x, 0) - x * y
-    max_part = logits.relu()
-    abs_part = logits.abs()
-    loss = max_part - logits * targets_t + (1.0 + (-abs_part).exp()).log()
-    return loss.mean()
-
-
-def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
 def kl_divergence(log_p: Tensor, q: Tensor) -> Tensor:
     """KL(q || p) given ``log_p`` (log-probabilities) and ``q`` (probabilities).
 

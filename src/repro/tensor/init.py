@@ -28,22 +28,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator | None = Non
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator | None = None,
-                  gain: float = 1.0) -> Tensor:
-    rng = _rng(rng)
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> Tensor:
-    """He initialisation suited for ReLU networks."""
-    rng = _rng(rng)
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-
 def normal(shape: tuple[int, ...], std: float = 0.02,
            rng: np.random.Generator | None = None) -> Tensor:
     rng = _rng(rng)

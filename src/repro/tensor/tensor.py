@@ -150,14 +150,6 @@ class Tensor:
                       requires_grad=requires_grad)
 
     @staticmethod
-    def randn(*shape: int, rng: np.random.Generator | None = None,
-              requires_grad: bool = False) -> "Tensor":
-        from repro.utils import fallback_rng
-
-        rng = rng if rng is not None else fallback_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def uniform(shape: Sequence[int], low: float = -1.0, high: float = 1.0,
                 rng: np.random.Generator | None = None,
                 requires_grad: bool = False) -> "Tensor":

@@ -1,10 +1,8 @@
-"""Small shared utilities: seeding, timing and batching helpers."""
+"""Small shared utilities: seeding and batching helpers."""
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -90,30 +88,3 @@ def batched_indices(n: int, batch_size: int, rng: np.random.Generator | None = N
     if stop <= 0:
         return
     yield from np.split(order[:stop], range(batch_size, stop, batch_size))
-
-
-@contextmanager
-def timer():
-    """Context manager yielding a callable that returns elapsed seconds."""
-    start = time.perf_counter()
-    elapsed = {"seconds": 0.0}
-
-    def read() -> float:
-        return elapsed["seconds"] if elapsed["seconds"] else time.perf_counter() - start
-
-    try:
-        yield read
-    finally:
-        elapsed["seconds"] = time.perf_counter() - start
-
-
-def moving_average(values: Sequence[float], window: int = 3) -> list[float]:
-    """Simple trailing moving average used by training-history smoothing."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    output: list[float] = []
-    for index in range(len(values)):
-        start = max(0, index - window + 1)
-        chunk = values[start:index + 1]
-        output.append(float(np.mean(chunk)))
-    return output

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import DATConfig, DTDBDConfig
 from repro.data import (
     DataLoader,
     MultiDomainNewsDataset,
@@ -13,12 +14,28 @@ from repro.data import (
     stratified_split,
 )
 from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.experiments import default_chinese_config, default_english_config
 from repro.models import ModelConfig
 
 
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def fast_test_config():
+    """Factory of the tiny ``ExperimentConfig`` the integration tests run."""
+    def make(dataset: str = "chinese"):
+        base = default_chinese_config() if dataset == "chinese" else default_english_config()
+        return base.with_overrides(
+            scale=0.05 if dataset == "chinese" else 0.02,
+            epochs=2,
+            max_length=16,
+            dat=DATConfig(epochs=2, learning_rate=2e-3),
+            dtdbd=DTDBDConfig(epochs=2, learning_rate=2e-3),
+        )
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,12 @@ import pytest
 
 from repro.core import DATConfig, DomainAdversarialModel, train_dat_student, train_unbiased_teacher
 from repro.core.trainer import evaluate_model
-from repro.models import build_model
-from repro.tensor import functional as F
+from repro.data import DataLoader, make_weibo21_like, stratified_split
+from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.models import ModelConfig, build_model
+from repro.nn import Adam, GradientClipper
+from repro.tensor import default_dtype, functional as F
+from repro.utils import set_global_seed
 
 
 class TestDATConfig:
@@ -84,3 +88,63 @@ class TestTraining:
                                config=DATConfig(epochs=3, learning_rate=2e-3))
         after = evaluate_model(backbone, test_loader).overall_f1
         assert after > before
+
+
+def _reference_dat_ie(backbone, train_loader, config, seed):
+    """The hand-written DAT-IE loop ``train_unbiased_teacher`` used to run.
+
+    Kept verbatim as the ground truth for the version that runs through
+    :class:`repro.core.trainer.Trainer`.
+    """
+    wrapper = DomainAdversarialModel(backbone, train_loader.num_domains,
+                                     config=config, seed=seed)
+    optimizer = Adam(wrapper.parameters(), lr=config.learning_rate)
+    clipper = GradientClipper(config.max_grad_norm)
+    epoch_losses = []
+    for _ in range(config.epochs):
+        wrapper.train()
+        losses = []
+        for batch in train_loader:
+            optimizer.zero_grad()
+            loss, _ = wrapper.compute_loss(batch)
+            loss.backward()
+            clipper.clip(optimizer.parameters)
+            optimizer.step()
+            losses.append(loss.item())
+        epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+    backbone.eval()
+    return epoch_losses
+
+
+class TestTrainerParity:
+    @staticmethod
+    def _world():
+        set_global_seed(123)
+        dataset = make_weibo21_like(scale=0.04, seed=7)
+        splits = stratified_split(dataset, train_fraction=0.6, val_fraction=0.1, seed=0)
+        vocab = splits.train.build_vocabulary()
+        channels = stock_channels(LocalBackend(
+            FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3)))
+        loader = DataLoader(splits.train, vocab, max_length=16, batch_size=16,
+                            shuffle=True, seed=0, channels=channels)
+        config = ModelConfig(plm_dim=16, num_domains=dataset.num_domains,
+                             cnn_channels=8, kernel_sizes=(1, 2, 3), hidden_dim=16,
+                             mlp_hidden=(16,), seed=5)
+        return loader, build_model("textcnn_s", config)
+
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    def test_bit_identical_to_the_hand_written_loop(self, dtype):
+        config = DATConfig(epochs=2, learning_rate=2e-3)
+        with default_dtype(dtype):
+            loader, backbone = self._world()
+            reference_losses = _reference_dat_ie(backbone, loader, config, seed=4)
+            reference = backbone.state_dict()
+            loader, backbone = self._world()
+            teacher, history = train_unbiased_teacher(backbone, loader, None,
+                                                      config=config, seed=4)
+        assert history.train_losses == reference_losses
+        state = teacher.state_dict()
+        assert state.keys() == reference.keys()
+        for name, array in reference.items():
+            assert state[name].dtype == array.dtype, name
+            assert state[name].tobytes() == array.tobytes(), name

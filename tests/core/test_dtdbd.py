@@ -10,7 +10,6 @@ from repro.core import (
     TrainerConfig,
     Trainer,
     evaluate_model,
-    run_dtdbd_pipeline,
     train_unbiased_teacher,
 )
 from repro.data import DataLoader, make_weibo21_like, stratified_split
@@ -208,18 +207,22 @@ class TestTeacherCacheEquivalence:
 
 
 class TestPipeline:
-    def test_run_dtdbd_pipeline_end_to_end(self, model_config, train_loader,
-                                           val_loader, test_loader):
+    def test_algorithm_one_end_to_end(self, model_config, train_loader,
+                                      val_loader, test_loader):
+        """DAT-IE teacher, clean teacher, then distillation, as Algorithm 1 runs them."""
         student = build_model("textcnn_s", model_config.with_overrides(seed=50))
         unbiased_backbone = build_model("textcnn_s", model_config.with_overrides(seed=51))
         clean = build_model("mdfend", model_config.with_overrides(seed=52))
-        result = run_dtdbd_pipeline(
-            student, unbiased_backbone, clean,
-            train_loader, val_loader, test_loader,
-            dat_config=DATConfig(epochs=1, learning_rate=2e-3),
-            clean_teacher_config=TrainerConfig(epochs=1, learning_rate=2e-3),
-            dtdbd_config=DTDBDConfig(epochs=1, learning_rate=2e-3))
-        assert result.test_report is not None
-        assert result.student is student
-        assert len(result.weight_history) >= 1
-        assert 0.0 <= result.test_report.overall_f1 <= 1.0
+        unbiased, _ = train_unbiased_teacher(
+            unbiased_backbone, train_loader, val_loader,
+            config=DATConfig(epochs=1, learning_rate=2e-3))
+        Trainer(clean, TrainerConfig(epochs=1, learning_rate=2e-3)).fit(
+            train_loader, val_loader)
+        trainer = DTDBDTrainer(student, unbiased, clean,
+                               config=DTDBDConfig(epochs=1, learning_rate=2e-3))
+        history = trainer.fit(train_loader, val_loader)
+        test_report = evaluate_model(student, test_loader)
+        assert trainer.model is student
+        assert len(history) == 1
+        assert len(trainer.weight_history) == 2
+        assert 0.0 <= test_report.overall_f1 <= 1.0

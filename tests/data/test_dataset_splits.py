@@ -41,14 +41,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             MultiDomainNewsDataset(items, ["only"])
 
-    def test_subset_and_filter_domain(self, manual_dataset):
+    def test_subset(self, manual_dataset):
         subset = manual_dataset.subset([0, 1, 4])
         assert len(subset) == 3
-        tech = manual_dataset.filter_domain("tech")
-        assert len(tech) == 3
-        assert all(item.domain_name == "tech" for item in tech)
-        by_index = manual_dataset.filter_domain(0)
-        assert len(by_index) == 4
+        assert [item.text for item in subset] == [
+            manual_dataset.items[i].text for i in (0, 1, 4)]
 
     def test_build_vocabulary_and_encode(self, manual_dataset):
         vocab = manual_dataset.build_vocabulary()

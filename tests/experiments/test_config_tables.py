@@ -7,7 +7,6 @@ from repro.experiments import (
     FUNCTIONAL_COMPARISON,
     default_chinese_config,
     default_english_config,
-    fast_test_config,
     format_bias_audit,
     format_case_study,
     format_compact_table,
@@ -34,7 +33,7 @@ class TestConfigs:
         assert config.dataset == "english"
         assert config.scale < 0.3
 
-    def test_fast_test_config_is_small(self):
+    def test_fast_test_config_is_small(self, fast_test_config):
         config = fast_test_config()
         assert config.epochs <= 2
         assert config.scale <= 0.05

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    fast_test_config,
     prepare_data,
     run_comparison,
     run_figure3_case_study,
@@ -23,7 +22,7 @@ from repro.experiments import (
 
 
 @pytest.fixture(scope="module")
-def config():
+def config(fast_test_config):
     return fast_test_config()
 
 
@@ -40,7 +39,7 @@ class TestPrepareData:
         assert len(bundle.splits.train) > len(bundle.splits.val)
         assert bundle.model_config().plm_dim == config.plm_dim
 
-    def test_english_dataset(self):
+    def test_english_dataset(self, fast_test_config):
         english = prepare_data(fast_test_config("english"))
         assert english.num_domains == 3
 

@@ -8,7 +8,6 @@ from repro.metrics import (
     domain_bias_report,
     f1_score,
     macro_f1,
-    total_equality_difference,
 )
 
 label_arrays = st.integers(10, 80).flatmap(
@@ -34,7 +33,8 @@ class TestMetricInvariants:
         y_true, _, domains = map(np.array, data)
         assert accuracy(y_true, y_true) == 1.0
         assert macro_f1(y_true, y_true) >= macro_f1(y_true, 1 - y_true)
-        assert total_equality_difference(y_true, y_true, domains, 4) == 0.0
+        names = [str(i) for i in range(4)]
+        assert domain_bias_report(y_true, y_true, domains, names).total == 0.0
 
     @given(label_arrays)
     @settings(max_examples=50, deadline=None)

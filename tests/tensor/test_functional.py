@@ -58,18 +58,6 @@ class TestLosses:
         with pytest.raises(ValueError):
             F.one_hot(np.array([[0, 1]]), 3)
 
-    def test_bce_with_logits_matches_manual(self):
-        logits = np.array([0.0, 2.0, -2.0])
-        targets = np.array([1.0, 1.0, 0.0])
-        manual = np.mean(np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0)
-                         - logits * targets)
-        value = F.binary_cross_entropy_with_logits(Tensor(logits), targets).item()
-        assert value == pytest.approx(manual)
-
-    def test_mse(self):
-        a = Tensor(np.array([1.0, 2.0]))
-        assert F.mse_loss(a, np.array([0.0, 0.0])).item() == pytest.approx(2.5)
-
 
 class TestDistillation:
     def test_kl_zero_for_identical_distributions(self):

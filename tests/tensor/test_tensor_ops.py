@@ -21,13 +21,6 @@ class TestConstruction:
         assert np.all(Tensor.ones(4).numpy() == 1.0)
         assert np.all(Tensor.full((2, 2), 7.5).numpy() == 7.5)
 
-    def test_randn_uses_rng(self):
-        rng1 = np.random.default_rng(0)
-        rng2 = np.random.default_rng(0)
-        a = Tensor.randn(3, 3, rng=rng1)
-        b = Tensor.randn(3, 3, rng=rng2)
-        np.testing.assert_allclose(a.numpy(), b.numpy())
-
     def test_item_and_len(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)
         assert len(Tensor(np.zeros((5, 2)))) == 5

@@ -1,11 +1,9 @@
-"""Shared utilities: seeding, batching, timing."""
-
-import time
+"""Shared utilities: seeding and batching."""
 
 import numpy as np
 import pytest
 
-from repro.utils import batched_indices, moving_average, seeded_rng, spawn_rngs, timer
+from repro.utils import batched_indices, seeded_rng, spawn_rngs
 
 
 class TestRngHelpers:
@@ -43,17 +41,3 @@ class TestBatchedIndices:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             list(batched_indices(5, 0))
-
-
-class TestMisc:
-    def test_timer_measures_elapsed(self):
-        with timer() as elapsed:
-            time.sleep(0.01)
-        assert elapsed() >= 0.01
-
-    def test_moving_average(self):
-        assert moving_average([1.0, 2.0, 3.0, 4.0], window=2) == [1.0, 1.5, 2.5, 3.5]
-
-    def test_moving_average_invalid_window(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], window=0)
