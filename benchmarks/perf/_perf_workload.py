@@ -106,7 +106,7 @@ def run_dtdbd_steps(trainer, loader, dtype: str, fused_on: bool, steps: int) -> 
     done = 0
     with default_dtype(dtype), fused_kernels(fused_on):
         trainer.student.train()
-        unbiased_cache, clean_cache = trainer._caches_for(loader)
+        unbiased_cache, clean_cache = trainer.teacher_caches(loader)
         while done < steps:
             for batch in loader:
                 trainer.optimizer.zero_grad()

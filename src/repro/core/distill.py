@@ -17,11 +17,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import weakref
+
 import numpy as np
 
 from repro.data.loader import Batch, DataLoader
 from repro.models.base import FakeNewsDetector
-from repro.tensor import Tensor, functional as F, fused, no_grad
+from repro.tensor import Tensor, functional as F, fused, get_default_dtype, no_grad
 
 
 def correlation_matrix(features: Tensor, normalize: bool = True) -> Tensor:
@@ -104,6 +107,56 @@ def teacher_forward(teacher: FakeNewsDetector, batch: Batch) -> tuple[Tensor, Te
     return logits, features
 
 
+class _Outputs:
+    """One teacher's outputs over one loader and the stamp of what produced
+    them; it refers to neither, so the registry's weak keys can die."""
+
+    __slots__ = ("logits", "features", "invalid_windows", "stamp")
+
+    def __init__(self):
+        self.invalid_windows: set[int] = set()
+        self.drop()
+
+    def drop(self) -> None:
+        self.logits = self.features = self.stamp = None
+        self.invalid_windows.clear()
+
+    def invalidate(self, indices, loader: DataLoader) -> None:
+        """See :meth:`TeacherCache.invalidate`."""
+        if indices is None:
+            self.drop()
+            return
+        total = loader.num_samples
+        window = min(loader.batch_size, total)
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if indices.size == 0:
+            return
+        if int(indices.min()) < 0 or int(indices.max()) >= total:
+            raise IndexError(
+                f"invalidate indices [{int(indices.min())}, "
+                f"{int(indices.max())}] outside the dataset of {total} samples")
+        if self.logits is None:
+            return  # nothing materialised yet; the first lookup is fresh anyway
+        nfull = (total - window) // window + 1 if total >= window else 0
+        for row in {int(r) for r in indices}:
+            # Rows past the last aligned window live in the overlapping tail
+            # pass (window id ``nfull``); everything else maps by division.
+            self.invalid_windows.add(row // window if row < nfull * window
+                                     else nfull)
+
+
+#: loader -> teacher -> outputs, weak on both keys: an entry goes when its
+#: loader or teacher is collected, so a dead object's reused ``id()`` never
+#: reaches it.
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def invalidate_teacher_outputs(loader: DataLoader, indices=None) -> None:
+    """:meth:`TeacherCache.invalidate` for every teacher's cache over ``loader``."""
+    for outputs in list(_SHARED.get(loader, {}).values()):
+        outputs.invalidate(indices, loader)
+
+
 class TeacherCache:
     """Precomputed frozen-teacher outputs, served by per-batch gathers.
 
@@ -119,13 +172,21 @@ class TeacherCache:
     contract), which is numerically exact: the same arrays, gathered instead
     of recomputed.
 
-    The cache materialises lazily on first :meth:`lookup`.  It is only valid
-    while the teacher's parameters and the loader's encoded arrays stay
-    unchanged; callers that mutate either (e.g. fine-tuning the teacher
-    between distillation stages, or re-encoding the corpus) must call
-    :meth:`invalidate`, after which the next lookup recomputes.  Caching an
-    *unfrozen* teacher is refused outright — its outputs would silently go
-    stale after the first optimiser step.
+    The arrays belong to the ``(teacher, loader)`` pair, not to the cache
+    object: every cache of the pair serves the same arrays, kept in a
+    registry that holds neither teacher nor loader alive, so a second
+    distillation from the same frozen teacher over the same loader runs no
+    teacher pass.  They materialise lazily on first :meth:`lookup`.  At its
+    first lookup each cache checks that everything that produced the arrays
+    still matches — the teacher's parameter bytes (with names, dtypes and
+    shapes), whether fused kernels are on, the default dtype, the window
+    size and the row count — and otherwise drops them for a fresh pass.
+    After that the arrays are assumed valid while the teacher's parameters
+    and the loader's encoded arrays stay unchanged; callers that mutate
+    either must call :meth:`invalidate` (or :func:`invalidate_teacher_outputs`
+    for every teacher over a loader), after which the next lookup
+    recomputes.  Caching an *unfrozen* teacher is refused outright — its
+    outputs would silently go stale after the first optimiser step.
 
     Bit-exactness subtlety: BLAS kernels pick different code paths for
     different batch row counts, so a row forwarded in a batch of 16 can
@@ -138,8 +199,7 @@ class TeacherCache:
     the (at most one per epoch) ragged batch live.
     """
 
-    def __init__(self, teacher: FakeNewsDetector, loader: DataLoader,
-                 batch_size: int | None = None):
+    def __init__(self, teacher: FakeNewsDetector, loader: DataLoader):
         if teacher.parameters():
             raise ValueError(
                 "TeacherCache requires a frozen teacher (call teacher.freeze() "
@@ -147,17 +207,39 @@ class TeacherCache:
                 "gradients would serve stale outputs")
         self.teacher = teacher
         self.loader = loader
-        self._batch_size = batch_size
-        self._logits: np.ndarray | None = None
-        self._features: np.ndarray | None = None
-        self._invalid_windows: set[int] = set()
+        self._outputs = _SHARED.setdefault(loader, weakref.WeakKeyDictionary()) \
+            .setdefault(teacher, _Outputs())
+        #: the stamp is checked at the first lookup, so under the dtype and
+        #: kernels the cache serves with
+        self._unchecked = True
+        #: windows this cache re-forwarded after a row-level invalidation
         self.recomputed_windows = 0
+
+    def _stamp(self) -> tuple:
+        """What the cached arrays depend on besides the loader's rows."""
+        digest = hashlib.sha256()
+        for name, array in self.teacher.state_dict().items():
+            digest.update(f"{name}:{array.dtype.str}:{array.shape};".encode())
+            digest.update(array)
+        return (digest.hexdigest(), fused.is_fused_enabled(),
+                get_default_dtype().str, self.window_size, self.loader.num_samples)
+
+    def restamp(self) -> None:
+        """Keep the cached arrays across a change that leaves them exact.
+
+        :func:`repro.models.expand_domains` rewrites a teacher's bytes but
+        not its outputs for existing rows; restamping after it lets the next
+        cache of the pair reuse the arrays instead of refusing them.  Only a
+        cache that has served its arrays (so checked them) vouches for them;
+        on any other this is a no-op.
+        """
+        if self.materialised and not self._unchecked:
+            self._outputs.stamp = self._stamp()
 
     @property
     def window_size(self) -> int:
         """Row count of every materialisation forward (and of served batches)."""
-        return min(self._batch_size or self.loader.batch_size,
-                   self.loader.num_samples)
+        return min(self.loader.batch_size, self.loader.num_samples)
 
     def serves(self, batch: Batch) -> bool:
         """Whether gathering ``batch`` is bit-identical to a live forward.
@@ -172,7 +254,7 @@ class TeacherCache:
     @property
     def materialised(self) -> bool:
         """Whether the full-dataset pass has run since the last invalidation."""
-        return self._logits is not None
+        return self._outputs.logits is not None
 
     def invalidate(self, indices=None) -> None:
         """Invalidate cached rows; the next lookup recomputes what's needed.
@@ -188,32 +270,12 @@ class TeacherCache:
         recomputed inside the same full-size window it was originally
         forwarded with.
         """
-        if indices is None:
-            self._logits = None
-            self._features = None
-            self._invalid_windows.clear()
-            return
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if indices.size == 0:
-            return
-        total = self.loader.num_samples
-        if int(indices.min()) < 0 or int(indices.max()) >= total:
-            raise IndexError(
-                f"invalidate indices [{int(indices.min())}, "
-                f"{int(indices.max())}] outside the dataset of {total} samples")
-        if self._logits is None:
-            return  # nothing materialised yet; the first lookup is fresh anyway
-        window = self.window_size
-        nfull = (total - window) // window + 1 if total >= window else 0
-        for row in {int(r) for r in indices}:
-            # Rows past the last aligned window live in the overlapping tail
-            # pass (window id ``nfull``); everything else maps by division.
-            self._invalid_windows.add(row // window if row < nfull * window
-                                      else nfull)
+        self._outputs.invalidate(indices, self.loader)
 
     def _recompute_invalid(self) -> None:
         """Re-forward stale windows in place (same shapes as `_materialise`)."""
-        if not self._invalid_windows:
+        outputs = self._outputs
+        if not outputs.invalid_windows:
             return
         was_training = self.teacher.training
         if was_training:
@@ -223,27 +285,27 @@ class TeacherCache:
         nfull = (total - window) // window + 1 if total >= window else 0
         remainder = total % window
         with no_grad():
-            for window_id in sorted(self._invalid_windows):
+            for window_id in sorted(outputs.invalid_windows):
                 if window_id < nfull:
                     start = window_id * window
                     logits, features = self.teacher.forward_with_features(
                         self.loader.window(start, start + window))
-                    self._logits[start:start + window] = logits.numpy()
-                    self._features[start:start + window] = features.numpy()
+                    outputs.logits[start:start + window] = logits.numpy()
+                    outputs.features[start:start + window] = features.numpy()
                 else:
                     # Overlapping tail pass: keep only the trailing rows not
                     # covered by an aligned window, exactly as materialisation
                     # does.
                     logits, features = self.teacher.forward_with_features(
                         self.loader.window(total - window, total))
-                    self._logits[total - remainder:] = \
+                    outputs.logits[total - remainder:] = \
                         logits.numpy()[window - remainder:]
-                    self._features[total - remainder:] = \
+                    outputs.features[total - remainder:] = \
                         features.numpy()[window - remainder:]
                 self.recomputed_windows += 1
         if was_training:
             self.teacher.train()
-        self._invalid_windows.clear()
+        outputs.invalid_windows.clear()
 
     def _materialise(self) -> None:
         was_training = self.teacher.training
@@ -270,8 +332,10 @@ class TeacherCache:
                 features_parts.append(features.numpy()[window - remainder:])
         if was_training:
             self.teacher.train()
-        self._logits = np.concatenate(logits_parts, axis=0)
-        self._features = np.concatenate(features_parts, axis=0)
+        outputs = self._outputs
+        outputs.logits = np.concatenate(logits_parts, axis=0)
+        outputs.features = np.concatenate(features_parts, axis=0)
+        outputs.stamp = self._stamp()
 
     def lookup(self, batch: Batch) -> tuple[Tensor, Tensor]:
         """Return the teacher's ``(logits, features)`` for ``batch`` as constants.
@@ -281,15 +345,20 @@ class TeacherCache:
         detected when an index falls outside the cached range — in-range
         foreign indices would gather the wrong rows silently.
         """
-        if self._logits is None:
+        outputs = self._outputs
+        if self._unchecked:
+            self._unchecked = False
+            if outputs.stamp is not None and outputs.stamp != self._stamp():
+                outputs.drop()
+        if outputs.logits is None:
             self._materialise()
         else:
             self._recompute_invalid()
         indices = np.asarray(batch.indices)
         if indices.size and (int(indices.min()) < 0
-                             or int(indices.max()) >= self._logits.shape[0]):
+                             or int(indices.max()) >= outputs.logits.shape[0]):
             raise IndexError(
                 f"batch indices [{int(indices.min())}, {int(indices.max())}] "
-                f"outside the cached dataset of {self._logits.shape[0]} "
+                f"outside the cached dataset of {outputs.logits.shape[0]} "
                 "samples; was this batch produced by a different loader?")
-        return Tensor(self._logits[indices]), Tensor(self._features[indices])
+        return Tensor(outputs.logits[indices]), Tensor(outputs.features[indices])

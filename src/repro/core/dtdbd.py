@@ -28,6 +28,7 @@ from repro.core.distill import (
     TeacherCache,
     adversarial_debiasing_distillation_loss,
     domain_knowledge_distillation_loss,
+    invalidate_teacher_outputs,
     teacher_forward,
 )
 from repro.core.momentum import ConstantWeightScheduler, MomentumWeightScheduler
@@ -61,11 +62,12 @@ class DTDBDConfig:
     use_add: bool = True
     use_dkd: bool = True
     max_grad_norm: float = 5.0
-    #: Precompute each frozen teacher's outputs once per loader and serve
-    #: mini-batches by gathering on ``batch.indices`` (numerically exact —
-    #: the same arrays, gathered instead of recomputed) instead of re-running
-    #: both teacher forwards on every step.  See
-    #: :class:`repro.core.distill.TeacherCache` for the invalidation contract.
+    #: Precompute each frozen teacher's outputs once per (teacher, loader)
+    #: pair — not per trainer — and serve mini-batches by gathering on
+    #: ``batch.indices`` (numerically exact — the same arrays, gathered
+    #: instead of recomputed) instead of re-running both teacher forwards on
+    #: every step.  See :class:`repro.core.distill.TeacherCache` for when
+    #: the arrays are reused and the invalidation contract.
     cache_teacher_outputs: bool = True
     #: When set, :meth:`DTDBDTrainer.fit` snapshots here after every epoch
     #: (and, with ``snapshot_every``, mid-epoch) so a killed run can resume.
@@ -84,7 +86,8 @@ class DTDBDTrainer(Trainer):
 
     The epoch loop, snapshots, resume and export are :class:`Trainer`'s;
     this class adds the Eq. 13 batch loss, the Eq. 14–15 weight update after
-    each validation, and the frozen-teacher output caches.  ``trainer.model``
+    each validation, and the frozen-teacher output caches, whose arrays
+    outlive the trainer (see :class:`TeacherCache`).  ``trainer.model``
     (also ``trainer.student``) is the student.
     """
 
@@ -124,7 +127,7 @@ class DTDBDTrainer(Trainer):
     # ------------------------------------------------------------------ #
     # Frozen-teacher output caching                                        #
     # ------------------------------------------------------------------ #
-    def _caches_for(self, loader: DataLoader) -> tuple[TeacherCache | None, TeacherCache | None]:
+    def teacher_caches(self, loader: DataLoader) -> tuple[TeacherCache | None, TeacherCache | None]:
         """The ``(unbiased, clean)`` caches for ``loader`` (built on first use)."""
         if not self.config.cache_teacher_outputs:
             return None, None
@@ -137,30 +140,26 @@ class DTDBDTrainer(Trainer):
                 if self.config.use_dkd else None)
         return self._teacher_caches[key]
 
-    def invalidate_teacher_caches(self, indices=None) -> None:
-        """Invalidate cached teacher outputs (e.g. after mutating fresh data).
+    def invalidate_teacher_caches(self, loader: DataLoader, indices=None) -> None:
+        """Invalidate cached teacher outputs over ``loader`` (e.g. fresh rows).
 
-        With ``indices=None``, drop every cached teacher output: the next
-        training epoch re-runs the full-dataset teacher passes.  This is never
-        needed inside a normal :meth:`fit` — both teachers are frozen — but
-        ad-hoc callers that reload teacher weights or re-encode a loader
-        between epochs must invalidate before continuing.  The per-loader
-        entries (and their loader references) are released outright, so a
-        trainer cycled across many loaders does not pin them all.
+        With ``indices=None``, drop every teacher's cached outputs over
+        ``loader``: the next epoch re-runs the full-dataset teacher passes.
+        Callers that re-encode a loader must do this (a changed teacher is
+        caught by the next trainer's stamp check; within one trainer the
+        caller invalidates too).  This trainer's entry, and its loader
+        reference, is released.
 
-        With a sequence of absolute dataset positions (the streaming
-        ``OnlineAdapter`` path, where a ring buffer overwrote a handful of
-        rows in place), only the :class:`TeacherCache` windows containing
-        those rows go stale; everything else keeps serving the original
-        arrays bit-identically.
+        With a sequence of absolute dataset positions of ``loader`` (the
+        streaming ``OnlineAdapter`` path, where a ring buffer overwrote a
+        handful of rows in place), only the :class:`TeacherCache` windows
+        containing those rows go stale, in every teacher's cache over that
+        loader; everything else keeps serving the original arrays
+        bit-identically.
         """
+        invalidate_teacher_outputs(loader, indices)
         if indices is None:
-            self._teacher_caches.clear()
-            return
-        for unbiased_cache, clean_cache in self._teacher_caches.values():
-            for cache in (unbiased_cache, clean_cache):
-                if cache is not None:
-                    cache.invalidate(indices)
+            self._teacher_caches.pop(id(loader), None)
 
     # ------------------------------------------------------------------ #
     def _batch_loss(self, batch,
@@ -211,7 +210,7 @@ class DTDBDTrainer(Trainer):
         return loss, logits, components
 
     def _loss(self, batch) -> Tensor:
-        loss, _, _ = self._batch_loss(batch, *self._caches_for(self._train_loader))
+        loss, _, _ = self._batch_loss(batch, *self.teacher_caches(self._train_loader))
         return loss
 
     def _validate(self, record: EpochRecord, val_loader: DataLoader | None) -> None:

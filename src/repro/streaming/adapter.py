@@ -22,8 +22,8 @@ Two reactions are supported:
   (:func:`repro.models.expand_domains`), extend the domain vocabulary, and
   re-export — existing domains' outputs stay bit-identical to the
   pre-expansion model.  The trainer is rebuilt afterwards (Adam moments are
-  shaped for the old parameters) with the teacher caches transplanted: a
-  frozen teacher's cached rows survive expansion unchanged.
+  shaped for the old parameters) and reuses the restamped teacher caches:
+  a frozen teacher's cached rows survive expansion unchanged.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class OnlineAdapter:
         if self.distilled:
             # Fresh rows invalidate exactly the cache windows containing
             # them; every other window keeps serving its original arrays.
-            self.trainer.invalidate_teacher_caches(touched)
+            self.trainer.invalidate_teacher_caches(self.loader, touched)
         losses: list[float] = []
         with default_dtype(self.pipeline.dtype):
             for _ in range(self.config.epochs_per_adaptation):
@@ -215,10 +215,11 @@ class OnlineAdapter:
         frozen) with weights copy-initialised from ``donor_domain``, appends
         ``name`` to the loader's and pipeline's domain vocabulary, rebuilds
         the trainer (optimizer moments are shaped for the old parameters)
-        while transplanting the teacher caches (a frozen teacher's cached
-        outputs for existing rows are unchanged by expansion), and atomically
-        re-exports.  Existing domains' predictions are bit-identical before
-        and after — pinned by ``tests/streaming/``.
+        after restamping the teacher caches (a frozen teacher's cached
+        outputs for existing rows are unchanged by expansion, so the new
+        trainer reuses them), and atomically re-exports.  Existing domains'
+        predictions are bit-identical before and after — pinned by
+        ``tests/streaming/``.
 
         The new domain starts as a behavioural clone of the donor; call
         :meth:`ingest` with its first labeled items and then :meth:`adapt`
@@ -237,12 +238,15 @@ class OnlineAdapter:
             self.pipeline.domain_names.append(name)
         self.pipeline.model_config = self.pipeline.model.config
 
-        old_trainer = self.trainer
-        self.trainer = self._build_trainer()
         if self.distilled:
             # Teacher outputs for every existing row are unchanged by the
-            # expansion, so the precomputed caches carry over as-is.
-            self.trainer._teacher_caches = old_trainer._teacher_caches
+            # expansion: restamped (under the dtype they were computed in),
+            # the rebuilt trainer reuses them.
+            with default_dtype(self.pipeline.dtype):
+                for cache in self.trainer.teacher_caches(self.loader):
+                    if cache is not None:
+                        cache.restamp()
+        self.trainer = self._build_trainer()
 
         self.pipeline.model.eval()
         exported = write_artifact(self.pipeline, self.config.export_path)

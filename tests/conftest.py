@@ -113,3 +113,24 @@ def manual_dataset() -> MultiDomainNewsDataset:
         items.append(NewsItem(text=text, label=label, domain=1, domain_name="tech",
                               item_id=10 + i))
     return MultiDomainNewsDataset(items, ["sports", "tech"], name="manual")
+
+
+@pytest.fixture
+def count_forwards():
+    """Count each given model's ``forward_with_features`` calls, by ``id()``.
+
+    ``count_forwards(models)`` wraps the method on each instance and returns
+    the live ``id(model) -> calls`` map.
+    """
+    def install(models):
+        counts = {}
+        for model in models:
+            counts[id(model)] = 0
+
+            def counted(batch, _model=model, _forward=model.forward_with_features):
+                counts[id(_model)] += 1
+                return _forward(batch)
+
+            model.forward_with_features = counted
+        return counts
+    return install

@@ -139,7 +139,7 @@ class TestDTDBDTraining:
                                DTDBDConfig(epochs=1, learning_rate=2e-3))
         trainer.train_epoch(train_loader)
         assert trainer._teacher_caches
-        trainer.invalidate_teacher_caches()
+        trainer.invalidate_teacher_caches(train_loader)
         assert not trainer._teacher_caches
         # Training keeps working after invalidation (caches rebuild lazily).
         assert np.isfinite(trainer.train_epoch(train_loader))

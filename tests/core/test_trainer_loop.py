@@ -274,7 +274,7 @@ def _reference_dtdbd(trainer, train_loader, val_loader):
     losses = []
     for epoch in range(trainer.config.epochs):
         trainer.student.train()
-        unbiased_cache, clean_cache = trainer._caches_for(train_loader)
+        unbiased_cache, clean_cache = trainer.teacher_caches(train_loader)
         epoch_losses = []
         for batch in train_loader.iter_from(train_loader.epoch_order()):
             trainer.optimizer.zero_grad()

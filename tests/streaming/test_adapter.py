@@ -182,8 +182,8 @@ class TestOnlineAdapter:
         for item in _fresh_items(4):
             adapter.ingest(item)
         adapter.adapt("warmup", ordinal=0)
-        caches = [cache for pair in adapter.trainer._teacher_caches.values()
-                  for cache in pair if cache is not None]
+        caches = [cache for cache in adapter.trainer.teacher_caches(adapter.loader)
+                  if cache is not None]
         assert caches, "DTDBD trainer should have built teacher caches"
         for cache in caches:
             assert cache.materialised
@@ -195,8 +195,18 @@ class TestOnlineAdapter:
         for cache in caches:
             assert cache.recomputed_windows == 1
 
-    def test_onboard_domain_end_to_end(self, tmp_path):
-        adapter = _adapter("float64", tmp_path / "artifact", distilled=True)
+    def test_onboard_domain_end_to_end(self, tmp_path, count_forwards):
+        for dtype in DTYPES:
+            self._onboard_end_to_end(dtype, tmp_path / dtype, count_forwards)
+
+    @staticmethod
+    def _onboard_end_to_end(dtype, tmp_path, count_forwards):
+        adapter = _adapter(dtype, tmp_path / "artifact", distilled=True)
+        for item in _fresh_items(4):
+            adapter.ingest(item)
+        adapter.adapt("warmup", ordinal=0)  # materialises the teacher caches
+        teachers = (adapter.unbiased_teacher, adapter.clean_teacher)
+        forwards = count_forwards(teachers)
         old_trainer = adapter.trainer
         record = adapter.onboard_domain("crypto", ordinal=77)
         assert record["domain"] == "crypto"
@@ -208,10 +218,19 @@ class TestOnlineAdapter:
         # Both frozen teachers grew with the student.
         assert adapter.unbiased_teacher.config.num_domains == 10
         assert adapter.clean_teacher.config.num_domains == 10
-        # Trainer was rebuilt (optimizer moments must match new shapes) with
-        # the teacher caches transplanted, not recomputed.
+        # Trainer was rebuilt (optimizer moments must match new shapes) and
+        # reuses the teacher outputs: no full pass, and the next adaptation
+        # re-forwards only the window its rows touched (rows 4..7 of 32).
         assert adapter.trainer is not old_trainer
-        assert adapter.trainer._teacher_caches is old_trainer._teacher_caches
+        caches = [cache for cache in adapter.trainer.teacher_caches(adapter.loader)
+                  if cache is not None]
+        assert len(caches) == 2
+        assert forwards == {id(teacher): 0 for teacher in teachers}
+        for item in _fresh_items(4, offset=140):
+            adapter.ingest(item)
+        adapter.adapt("feedback", ordinal=78)
+        assert [cache.recomputed_windows for cache in caches] == [1, 1]
+        assert forwards == {id(teacher): 1 for teacher in teachers}
         # The re-export is loadable and carries the grown domain vocabulary.
         loaded = load_pipeline(tmp_path / "artifact")
         assert loaded.domain_names[-1] == "crypto"
