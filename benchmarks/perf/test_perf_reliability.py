@@ -1,7 +1,7 @@
 """Reliability-layer overhead benchmarks: fault hooks must be free when off.
 
-``repro.reliability.fault_point`` sits on hot paths (encoder encode, trainer
-step, serve flush, artifact reads).  With no plan installed it must compile
+``repro.reliability.fault_point`` sits on hot paths (serving encode, trainer
+step, artifact reads).  With no plan installed it must compile
 down to one global load plus an ``is None`` check, so the chaos harness costs
 nothing in production.  The ``perf``-marked benchmark calibrates the per-call
 cost and records it into ``BENCH_engine.json``; the unmarked smoke runs in

@@ -72,7 +72,7 @@ class ServeRequest:
         return self._token_lists
 
     def encode_plm(self, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The pipeline's ``plm`` encode, wrapped in its retry/circuit policy."""
+        """The pipeline's own encoder backend ``encode`` for the ``plm`` channel."""
         if self._encode_plm is None:
             raise FeatureChannelError(
                 "this serving context provides no plm encoder; the pipeline "
@@ -157,7 +157,7 @@ def channels_from_specs(specs: Sequence[dict],
     """Build a channel list from manifest specs, binding ``plm`` to ``backend``.
 
     Every ``plm`` spec binds to the *same* backend instance (the pipeline's),
-    so its cache / circuit state stays singular and the encoder is built once.
+    so its cache state stays singular and the encoder is built once.
     """
     return [PLMChannel(backend)
             if isinstance(spec, dict) and spec.get("kind") == PLMChannel.kind
@@ -179,9 +179,9 @@ class PLMChannel(FeatureChannel):
         return self.backend.encode(token_ids, mask)
 
     def serve(self, request: ServeRequest) -> np.ndarray:
-        # Through the request's wrapped encode so the pipeline's retry policy
-        # and circuit breaker apply; a Pipeline refuses a plm channel whose
-        # backend differs from its own, so this is the same encoder.
+        # Through the request's encode, which is the pipeline's own backend
+        # instance: a channel bound to another instance with the same
+        # fingerprint would otherwise fill a different cache.
         return request.encode_plm(request.token_ids, request.mask)
 
     def to_spec(self) -> dict:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.reliability.faults import fault_point
-
 
 class FrozenPretrainedEncoder:
     """Deterministic frozen token encoder emulating "frozen BERT, layer 11"."""
@@ -78,7 +76,6 @@ class FrozenPretrainedEncoder:
     # ------------------------------------------------------------------ #
     def encode(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Return frozen features ``(batch, seq, output_dim)`` for ``token_ids``."""
-        fault_point("encoder.encode")
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError("token_ids must be (batch, seq)")

@@ -6,9 +6,10 @@ failures that cannot be reproduced cannot be tested.  This module provides a
 seeded, deterministic fault-injection harness:
 
 * :func:`fault_point` — an instrumentation hook placed at the durability- and
-  availability-critical call sites (artifact reads/writes, frozen-encoder
-  calls, trainer batch steps, serving flushes).  With no plan installed it is
-  a single global load and ``is None`` check — measurably free (pinned by
+  availability-critical call sites listed below (artifact reads/writes,
+  serving encodes, trainer batch steps, pool-worker start-up and scoring,
+  sweep cells and journal).  With no plan installed it is a single global
+  load and ``is None`` check — measurably free (pinned by
   ``benchmarks/perf/test_perf_reliability.py``).
 * :class:`FaultPlan` — a schedule of :class:`FaultRule`\\ s saying *which* site
   fails, *when* (call count, probability drawn from the plan's seeded RNG, or
@@ -19,6 +20,31 @@ seeded, deterministic fault-injection harness:
 Every decision a plan makes is derived from its constructor seed and the
 deterministic order of ``fault_point`` calls, so a chaos test that fails
 replays identically.
+
+Each site stands for a failure the shipped system meets without injection.
+``tests/reliability/test_fault_sites.py`` pins this table to the
+``fault_point`` calls under ``src/`` and requires a ``FaultPlan`` rule naming
+each site in ``tests/`` or ``benchmarks/``:
+
+=======================  ====================================================
+site                     real failure source
+=======================  ====================================================
+``io.read``              a transient read error or stall on an artifact,
+                         checkpoint or snapshot file
+``io.write``             a full disk, or a crash part-way through a write
+``orchestrate.journal``  a disk error reading or appending the sweep journal
+``orchestrate.cell``     a sweep cell that raises, hangs or kills its worker
+``orchestrate.worker``   a sweep worker process that dies while starting up
+``serve.worker.start``   a serving worker that dies while loading the artifact
+                         (OOM kill, signal)
+``serve.worker.step``    a serving worker that dies between claiming a batch
+                         and scoring it
+``serve.encode``         one request item whose encode fails (hostile input to
+                         a custom channel or backend); the seam of the
+                         "one poisoned item errors alone" serving contract
+``trainer.step``         a signal or crash mid-epoch, survived through
+                         ``Trainer.snapshot``/``resume``
+=======================  ====================================================
 """
 
 from __future__ import annotations
@@ -154,7 +180,9 @@ def fault_point(site: str, **detail) -> None:
     """Instrumentation hook; a no-op unless a plan is installed via :func:`inject`.
 
     ``detail`` keyword arguments become the payload rules can predicate on
-    (e.g. ``fault_point("serve.encode", texts=tuple(texts))``).
+    (e.g. ``fault_point("serve.encode", texts=texts)``).  They are evaluated
+    even when no plan is installed, so hot-path sites pass cheap references
+    (the caller's own list, ints), never per-call copies.
     """
     if _ACTIVE is None:
         return

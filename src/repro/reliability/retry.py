@@ -1,8 +1,8 @@
 """Retry with exponential backoff, deterministic jitter and deadline budgets.
 
-Transient faults (a stalled filesystem, an interrupted read, a flaky remote
-encoder backend) should cost a retry, not a training run.  :class:`RetryPolicy`
-wraps any callable with:
+Transient faults (a stalled filesystem, an interrupted read, a sweep cell
+that dies once) should cost a retry, not a training run.
+:class:`RetryPolicy` runs any callable with:
 
 * up to ``attempts`` tries, re-raising the last error when exhausted;
 * exponential backoff (``base_delay_s * multiplier**attempt``, capped at
@@ -92,14 +92,6 @@ class RetryPolicy:
                         f"{attempt + 1} attempt(s); last error: {error}") from error
                 self.sleep(delay)
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def wrap(self, fn: Callable) -> Callable:
-        """A callable running ``fn`` under this policy (for extractor plumbing)."""
-
-        def wrapped(*args, **kwargs):
-            return self.call(fn, *args, **kwargs)
-
-        return wrapped
 
 
 #: Default policy for artifact reads: short, bounded, transient-only.  Missing

@@ -25,9 +25,9 @@ servable artifact and answers "is this news item fake?" from raw text:
 * :class:`Server` — the fault-tolerant tier above: an asyncio front-end
   (plus :class:`HttpFrontend`, a stdlib-only HTTP endpoint) feeding a shared
   micro-batch queue drained by a supervised multi-process worker pool, with
-  backpressure (:class:`ServerOverloaded`), per-request deadlines, circuit
-  breaking around the frozen encoder, and crash recovery that re-dispatches
-  a dead worker's batches so no ticket is ever lost.
+  backpressure (:class:`ServerOverloaded`), per-request deadlines and
+  crash recovery that re-dispatches a dead worker's batches so no ticket is
+  ever lost.
 * :class:`ServeStats` — the one queue ledger (served / failed / rejected /
   shed / expired ...) shared by :class:`MicroBatcher` and :class:`Server`,
   reported by both ``health()`` endpoints.

@@ -170,11 +170,8 @@ class MicroBatcher:
             self._flush(reason)
 
     def _flush(self, reason: str) -> None:
-        from repro.reliability.faults import fault_point
-
         batch, self._pending = self._pending, []
         try:
-            fault_point("serve.flush", size=len(batch), reason=reason)
             predictions = self.predictor.predict_safe(
                 [ticket.text for ticket in batch],
                 domains=[ticket.domain for ticket in batch])

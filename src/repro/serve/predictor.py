@@ -29,12 +29,14 @@ import numpy as np
 from repro.data.dataset import FAKE_LABEL, LABEL_NAMES, encode_texts
 from repro.data.loader import Batch
 from repro.encoders.channels import ServeRequest
-from repro.reliability.circuit import CircuitBreaker
 from repro.reliability.faults import fault_point
-from repro.reliability.retry import RetryPolicy
 from repro.serve.microbatch import MicroBatcher
 from repro.serve.pipeline import Pipeline, verify_pipeline
 from repro.tensor import default_dtype, fused_kernels
+
+
+#: end-of-iterator marker for :meth:`Predictor.predict_iter`'s domains
+_EXHAUSTED = object()
 
 
 @dataclass
@@ -101,9 +103,7 @@ class Predictor:
 
     def __init__(self, pipeline: Pipeline, default_domain: int | str | None = 0,
                  bucket_size: int | None = None, use_fused: bool = True,
-                 max_text_chars: int = 100_000,
-                 encoder_retry: RetryPolicy | None = None,
-                 encoder_breaker: "CircuitBreaker | None" = None):
+                 max_text_chars: int = 100_000):
         self.pipeline = pipeline
         self.default_domain = 0  # placeholder so _domain_index(None) resolves
         self.default_domain = self._domain_index(default_domain)
@@ -114,30 +114,9 @@ class Predictor:
         self.bucket_size = bucket_size
         self.use_fused = use_fused
         self.max_text_chars = max_text_chars
-        # Frozen-encoder calls go through a short transient-error retry; the
-        # in-process stand-in never needs it, but custom encoder backends and
-        # the chaos suite exercise the path.  An optional circuit breaker
-        # wraps the *retried* call, so a persistently failing backend trips
-        # after `failure_threshold` exhausted retry rounds and degrades to
-        # fast CircuitOpen rejections instead of deadline-burning retries
-        # (the serving worker pool installs one per worker).  Both policies
-        # are kept so a hot :meth:`reload` can re-wrap the new backend.
-        self._encoder_retry = (encoder_retry
-                               or RetryPolicy(attempts=2, base_delay_s=0.01,
-                                              max_delay_s=0.05))
-        self.encoder_breaker = encoder_breaker
         self.served_by_domain: dict[str, int] = {}
         self.reloads = 0
         self.last_reload_fingerprint: str | None = None
-        self._bind_pipeline(pipeline)
-
-    def _bind_pipeline(self, pipeline: Pipeline) -> None:
-        """Point this predictor at ``pipeline`` (construction and hot reload)."""
-        self.pipeline = pipeline
-        encode = self._encoder_retry.wrap(pipeline.encoder.encode)
-        if self.encoder_breaker is not None:
-            encode = self.encoder_breaker.wrap(encode)
-        self._encode_plm = encode
         pipeline.model.eval()
 
     def reload(self, source: "Pipeline | str") -> str:
@@ -147,11 +126,10 @@ class Predictor:
         :func:`repro.serve.save_pipeline` (loaded with full checksum
         verification — a corrupt artifact raises and the predictor keeps
         serving the old weights) or an in-memory :class:`Pipeline`.  The swap
-        re-wraps the encoder retry/breaker policies around the new backend
-        and serves the new pipeline's feature channels; the default domain
-        must still exist in the new pipeline.  Domain growth is allowed (continual
-        onboarding re-exports with more domains); the per-domain served
-        counters carry across reloads.
+        serves the new pipeline's encoder backend and feature channels; the
+        default domain must still exist in the new pipeline.  Domain growth
+        is allowed (continual onboarding re-exports with more domains); the
+        per-domain served counters carry across reloads.
 
         A directory reload shares the served pipeline's vocabulary,
         tokenizer, encoder backend and channels when the verified manifest
@@ -170,7 +148,8 @@ class Predictor:
             raise KeyError(
                 f"default domain {self.default_domain} does not exist in the "
                 f"new pipeline ({pipeline.model_config.num_domains} domains)")
-        self._bind_pipeline(pipeline)
+        self.pipeline = pipeline
+        pipeline.model.eval()
         self.reloads += 1
         self.last_reload_fingerprint = fingerprint
         return fingerprint
@@ -227,8 +206,8 @@ class Predictor:
         :class:`~repro.encoders.ServeRequest` — the handcrafted
         ``style``/``emotion`` channels read its lazily tokenised
         *untruncated* raw texts (like the training extractors), so one
-        tokenisation pass feeds both, and the ``plm`` channel goes through
-        the predictor's retry/circuit-wrapped encoder backend.
+        tokenisation pass feeds both, and the ``plm`` channel calls the
+        pipeline's own encoder backend.
         """
         if not texts:
             raise ValueError("encode_batch needs at least one text")
@@ -244,7 +223,7 @@ class Predictor:
         compute_dtype = np.dtype(pipeline.dtype)
         mask = mask.astype(compute_dtype, copy=False)
         request = ServeRequest(texts, token_ids, mask,
-                               encode_plm=self._encode_plm)
+                               encode_plm=pipeline.encoder.encode)
         features = {}
         for channel in pipeline.served_channels:
             values = np.asarray(channel.serve(request))
@@ -441,10 +420,6 @@ class Predictor:
                 checks["inference"] = "ok"
         except Exception as error:  # noqa: BLE001 - reported, not raised
             checks["inference"] = f"{type(error).__name__}: {error}"
-        if self.encoder_breaker is not None:
-            circuit = self.encoder_breaker.snapshot()
-            checks["encoder_circuit"] = ("ok" if circuit["state"] == "closed"
-                                         else f"circuit {circuit['state']}")
         return {
             "status": ("ok" if all(value == "ok" for value in checks.values())
                        else "degraded"),
@@ -465,14 +440,10 @@ class Predictor:
         """Live state of the pipeline's encoder backend.
 
         Kind, spec fingerprint and backend-specific counters (cache hit rate,
-        evictions...), plus the predictor-level
-        encoder circuit when one is installed — the block ``/health`` and
-        ``/stats`` surface per replica.
+        evictions...) — the block ``/health`` and ``/stats`` surface per
+        replica.
         """
-        state = self.pipeline.encoder.state()
-        if self.encoder_breaker is not None:
-            state["predictor_circuit"] = self.encoder_breaker.snapshot()["state"]
-        return state
+        return self.pipeline.encoder.state()
 
     def predict_iter(self, texts: Iterable[str], domains=None,
                      batch_size: int = 64) -> Iterator[Prediction]:
@@ -481,7 +452,9 @@ class Predictor:
         Consumes ``texts`` lazily in chunks of ``batch_size``, so scoring a
         generator over a multi-million-item corpus never materialises more
         than one chunk.  ``domains`` may be ``None``, a single domain applied
-        to every text, or an iterable parallel to ``texts``.
+        to every text, or an iterable parallel to ``texts``; a parallel
+        iterable of another length raises ``ValueError`` where it runs out
+        (shorter) or where the texts do (longer).
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -499,6 +472,8 @@ class Predictor:
             if len(chunk) >= batch_size:
                 yield from self.predict(chunk, domains=domains if broadcast else chunk_domains)
                 chunk, chunk_domains = [], []
+        if not broadcast and next(domain_iter, _EXHAUSTED) is not _EXHAUSTED:
+            raise ValueError("domains iterable longer than texts")
         if chunk:
             yield from self.predict(chunk, domains=domains if broadcast else chunk_domains)
 

@@ -16,9 +16,8 @@ it, built for traffic that does not stop when a worker does:
   least-loaded worker.
 * **Supervised worker pool** — a :class:`repro.reliability.pool.SupervisedPool`
   of OS processes, each of which loads the artifact once (checksum-verified)
-  and scores batches through the fused ``no_grad`` path with a
-  :class:`repro.reliability.CircuitBreaker` around the frozen-encoder
-  dependency (:mod:`repro.serve.worker`).  The pool detects worker death
+  and scores batches through the fused ``no_grad`` path
+  (:mod:`repro.serve.worker`).  The pool detects worker death
   (crash, ``SIGKILL``, or an injected ``serve.worker.step`` fault) after
   draining the results already sent, and respawns the slot; the server then
   **re-dispatches every batch the dead worker still held** — scoring is
@@ -351,6 +350,16 @@ class Server:
             return self.domain_names[index]
         return ""
 
+    def _check_serving(self) -> None:
+        """Refuse a submission once the server is not running or has failed.
+
+        A failed server's dispatcher has exited, so a ticket queued after the
+        failure would wait for :meth:`stop` instead of being answered.
+        """
+        if self._state != "running" or self._failed_reason is not None:
+            reason = self._failed_reason or f"server is {self._state}"
+            raise RuntimeError(f"cannot submit: {reason}")
+
     def submit_ticket(self, text: str, domain=None,
                       deadline_ms: float | None = None) -> ServerTicket:
         """Queue one request; thread-safe.  The fast-rejection tier:
@@ -360,9 +369,7 @@ class Server:
         * a queue at its high-water mark raises :class:`ServerOverloaded`
           (counted as ``shed``) — callers retry with backoff or downshift.
         """
-        if self._state != "running":
-            reason = self._failed_reason or f"server is {self._state}"
-            raise RuntimeError(f"cannot submit: {reason}")
+        self._check_serving()
         problem = self._validate_text(text)
         if problem is not None:
             self.stats.count("rejected")
@@ -380,6 +387,7 @@ class Server:
         deadline = (time.monotonic() + deadline_ms / 1e3
                     if deadline_ms is not None else None)
         with self._cond:
+            self._check_serving()  # a failure may have landed since the check
             if self._unresolved >= self.config.queue_high_water:
                 self.stats.count("shed")
                 raise ServerOverloaded(

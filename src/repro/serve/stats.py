@@ -52,8 +52,8 @@ class ServeStats:
     #: tickets re-dispatched because their worker died mid-batch (server only)
     redispatched: int = 0
     #: state of the encoder backend behind the queue (kind, spec fingerprint,
-    #: live counters like cache hit rate / circuit state); ``None`` until the
-    #: owning queue first publishes it via :meth:`set_encoder_backend`
+    #: live counters like cache hit rate); ``None`` until the owning queue
+    #: first publishes it via :meth:`set_encoder_backend`
     encoder_backend: dict | None = None
     #: ok predictions per served domain name (streaming / onboarding views)
     served_by_domain: dict[str, int] = field(default_factory=dict)

@@ -5,8 +5,7 @@ the job loop, orphan detection — is :func:`repro.reliability.pool.worker_loop`
 This module supplies what a *serving* worker adds: :func:`worker_setup`
 loads the :class:`repro.serve.Pipeline` artifact exactly once
 (:func:`~repro.serve.load_pipeline` verifies its checksums first), builds a
-:class:`Predictor` with a :class:`repro.reliability.CircuitBreaker` around
-the frozen-encoder dependency, and returns the handler that scores one
+:class:`Predictor` over it, and returns the handler that scores one
 :class:`BatchJob` through the fused ``no_grad`` path.
 
 The handler answers ``("ok", rows)`` with one dict per row, or
@@ -39,14 +38,11 @@ class BatchJob:
 
 def worker_setup(worker_id: int, artifact_path: str, bucket_size: int | None):
     """Load the artifact in a pool worker; return its batch-scoring handler."""
-    from repro.reliability.circuit import CircuitBreaker
     from repro.reliability.faults import fault_point
     from repro.serve.pipeline import load_pipeline
 
     fault_point("serve.worker.start", worker=worker_id)
-    predictor = load_pipeline(artifact_path).predictor(
-        encoder_breaker=CircuitBreaker(name=f"encoder[worker {worker_id}]"),
-        bucket_size=bucket_size)
+    predictor = load_pipeline(artifact_path).predictor(bucket_size=bucket_size)
 
     def score(job: BatchJob):
         if job.deadline is not None and time.monotonic() >= job.deadline:

@@ -477,12 +477,14 @@ def lstm_step(x: Tensor, hidden: Tensor, cell: Tensor, weight_ih: Tensor,
 #   the end, so the loop itself always runs ``t = 0..T-1`` over contiguous
 #   memory.
 # * Gate activations are computed straight into the backward stash (or into
-#   scratch when not recording) with in-place ufuncs — the loops are
-#   Python-call-bound at the paper's layer sizes, so call count and
-#   contiguity, not FLOPs, dominate.  Lane-stacking exists for the same
-#   reason: per step, all lanes share one batched ``(N, B, H) @ (N, H, G*H)``
-#   matmul and one ufunc call per gate, so the Python overhead is O(T), not
-#   O(T * lanes).
+#   scratch when not recording) with in-place ufuncs, so no step allocates.
+#   Per step, all lanes share one batched ``(N, B, H) @ (N, H, G*H)`` matmul
+#   and one ufunc call per gate.  At the paper's sizes the loops are bound by
+#   the gate transcendentals, not by Python calls: one float64 ``np.tanh``
+#   over (2, 32, 72) gates costs 11.6 µs against 7.5 µs for that step's
+#   matmul, and stacking more lanes saves nothing (a GRU forward + backward
+#   at T=24, H=24, batch 32 takes 5.8 ms with 2 lanes and 21.3 ms with 8;
+#   OpenBLAS on one thread, NumPy 2.4, 2-core Xeon).
 
 
 def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -120,8 +120,8 @@ class TestChannelRegistry:
             register_feature_channel("unit_not_callable", object())
 
     def test_plm_rebinds_to_the_shared_backend_instance(self, backend):
-        """Same fingerprint -> the pipeline's live backend (one cache, one
-        breaker), not a private reconstruction."""
+        """Same fingerprint -> the pipeline's live backend (one cache), not
+        a private reconstruction."""
         specs = [channel.to_spec() for channel in stock_channels(backend)]
         channels = channels_from_specs(specs, backend=backend)
         assert channels[0].backend is backend

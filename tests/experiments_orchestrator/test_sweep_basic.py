@@ -173,6 +173,37 @@ def test_worker_death_respawns_and_redispatches(tmp_path, fast_policy):
     assert 1 <= extra <= 2
 
 
+def test_worker_dying_at_startup_is_respawned():
+    """Slot 0's first incarnation dies before it reports ready.
+
+    A worker that never became ready was never given a cell, so the death
+    costs a respawn and no attempt: the sweep completes with every cell run
+    exactly once and the serial results.
+    """
+    specs = _specs()
+    baseline = run_sweep(specs, config=OrchestratorConfig(jobs=0))
+    plan = FaultPlan(seed=0).fail("orchestrate.worker", error=SystemExit)
+    result = run_sweep(specs, config=OrchestratorConfig(
+        jobs=2, worker_modules=(CELLS,), max_restarts=1,
+        fault_plans={0: plan}))
+    assert result.ok
+    assert _dumps(result) == _dumps(baseline)
+    assert [o.attempts for o in result.outcomes] == [1] * len(specs)
+
+
+def test_startup_death_with_no_restarts_retires_only_that_slot():
+    """Slot 0 dies at start-up with no restart budget; slot 1 runs the grid."""
+    specs = _specs()
+    baseline = run_sweep(specs, config=OrchestratorConfig(jobs=0))
+    plan = FaultPlan(seed=0).fail("orchestrate.worker", error=SystemExit)
+    result = run_sweep(specs, config=OrchestratorConfig(
+        jobs=2, worker_modules=(CELLS,), max_restarts=0,
+        fault_plans={0: plan}))
+    assert result.ok
+    assert _dumps(result) == _dumps(baseline)
+    assert [o.attempts for o in result.outcomes] == [1] * len(specs)
+
+
 def test_restart_budget_exhaustion_fails_readably(fast_policy):
     """Workers that keep dying must end the sweep with a diagnosis, not a hang.
 

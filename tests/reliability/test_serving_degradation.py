@@ -124,6 +124,19 @@ class TestMicroBatcherDegradation:
         assert all(ticket.done for ticket in tickets)
         assert all(not ticket.result.ok for ticket in tickets)
 
+    def test_engine_outage_keeps_tickets_queued_until_recovery(
+            self, predictor, texts):
+        """A batch in which every item fails is put back, not lost: the
+        drain raises, and once the engine recovers the same tickets serve."""
+        queue = predictor.microbatch(max_batch=BATCH, max_latency_ms=1e9)
+        tickets = [queue.submit(text) for text in texts[:4]]
+        with inject(FaultPlan().fail("serve.encode", times=None)):
+            with pytest.raises(InjectedFault):
+                queue.drain()
+        assert not any(ticket.done for ticket in tickets)
+        queue.drain()
+        assert all(ticket.done and ticket.result.ok for ticket in tickets)
+
 
 class TestHealth:
     def test_healthy_pipeline_reports_ok(self, predictor, artifact):

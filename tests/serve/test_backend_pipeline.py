@@ -95,6 +95,16 @@ def _stock_pipeline(model_config, tiny_vocab, encoder, tiny_dataset, dtype,
                                   domain_names=tiny_dataset.domain_names)
 
 
+class FailingBackend(LocalBackend):
+    """A backend that is down: every encode raises and is counted."""
+
+    calls = 0
+
+    def encode(self, token_ids, mask=None):
+        self.calls += 1
+        raise OSError("backend down")
+
+
 class TestManifestV2:
     def test_one_encoder_entry_and_one_channel_list(self, model_config,
                                                     tiny_vocab, tiny_encoder,
@@ -377,15 +387,53 @@ class TestBackendHealthReporting:
         assert state["hits"] >= 1
         assert 0.0 < state["hit_rate"] <= 1.0
 
-    def test_backend_state_includes_predictor_circuit(self, model_config,
-                                                      tiny_vocab, tiny_encoder,
-                                                      tiny_dataset):
-        from repro.reliability import CircuitBreaker
+    def test_backend_error_reaches_predict_after_one_call(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        """The predictor calls the backend directly: no retry, no breaker."""
+        backend = FailingBackend(tiny_encoder)
+        pipeline = _stock_pipeline(model_config, tiny_vocab, backend,
+                                   tiny_dataset, "float64")
+        with pytest.raises(OSError, match="backend down"):
+            pipeline.predictor().predict(["one probe text"])
+        assert backend.calls == 1
 
+    def test_loaded_pipeline_reports_only_its_own_checks(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+            tmp_path):
         pipeline = _stock_pipeline(model_config, tiny_vocab, tiny_encoder,
                                    tiny_dataset, "float64")
-        predictor = pipeline.predictor(
-            encoder_breaker=CircuitBreaker(name="unit"))
-        state = predictor.backend_state()
-        assert state["kind"] == "local"
-        assert state["predictor_circuit"] == "closed"
+        save_pipeline(pipeline, str(tmp_path / "detector"))
+        loaded = load_pipeline(str(tmp_path / "detector"))
+        predictor = loaded.predictor()
+        health = predictor.health()
+        assert set(health["checks"]) == {"artifact", "inference"}
+        assert health["status"] == "ok"
+        assert predictor.backend_state() == loaded.encoder.state()
+
+    def test_failing_backend_degrades_the_inference_check(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        pipeline = _stock_pipeline(model_config, tiny_vocab,
+                                   FailingBackend(tiny_encoder), tiny_dataset,
+                                   "float64")
+        health = pipeline.predictor().health()
+        assert health["status"] == "degraded"
+        assert health["checks"] == {"inference": "OSError: backend down"}
+
+    def test_reload_serves_the_new_pipelines_backend(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+            probe_texts):
+        """A hot reload swaps the plm encoder along with the pipeline."""
+        texts, domains = probe_texts
+        local = _stock_pipeline(model_config, tiny_vocab, tiny_encoder,
+                                tiny_dataset, "float64")
+        cached = CachedBackend.from_encoder(tiny_encoder)
+        swapped = Pipeline.from_training(local.model, tiny_vocab, cached,
+                                         max_length=16,
+                                         domain_names=tiny_dataset.domain_names)
+        predictor = local.predictor()
+        before = predictor.predict_proba(texts, domains=domains)
+        predictor.reload(swapped)
+        after = predictor.predict_proba(texts, domains=domains)
+        np.testing.assert_array_equal(after, before)
+        assert cached.stats()["misses"] >= 1
+        assert predictor.backend_state() == cached.state()

@@ -241,6 +241,23 @@ class TestPredict:
                                    [p.probabilities for p in direct], atol=1e-12)
         with pytest.raises(ValueError, match="shorter"):
             list(predictor.predict_iter(texts, domains=domains[:2], batch_size=3))
+        with pytest.raises(ValueError, match="longer"):
+            list(predictor.predict_iter(texts, domains=domains + [domains[0]],
+                                        batch_size=3))
+
+
+    def test_predict_iter_refuses_surplus_domains_after_full_chunks(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset, probe_items):
+        """The texts end on a chunk boundary: the full chunks are scored,
+        then the unused domain is refused."""
+        predictor = _pipeline(model_config, tiny_vocab, tiny_encoder,
+                              tiny_dataset, "float64").predictor()
+        texts = [item.text for item in probe_items][:4]
+        domains = [item.domain for item in probe_items][:5]
+        stream = predictor.predict_iter(texts, domains=domains, batch_size=2)
+        assert len([next(stream) for _ in range(4)]) == 4
+        with pytest.raises(ValueError, match="longer"):
+            next(stream)
 
 
 class TestMicroBatcher:

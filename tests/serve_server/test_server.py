@@ -86,6 +86,56 @@ class TestChaosSmoke:
             assert snap["redispatched"] >= 1
             assert_bit_parity(server, tickets, reference_predictor)
 
+    def test_worker_dying_at_startup_is_respawned(
+            self, artifact, sample_requests, reference_predictor):
+        """Slot 0 dies while loading the artifact, with tickets already queued.
+
+        Its first incarnation exits (injected ``SystemExit`` at
+        ``serve.worker.start``) before it reports ready; the supervisor
+        respawns the slot, re-dispatches whatever was assigned to it, and the
+        server serves every ticket bit-identically.
+        """
+        texts, domains = sample_requests
+        plan = FaultPlan(seed=2).fail("serve.worker.start", error=SystemExit)
+        config = ServerConfig(workers=2, max_batch=8, max_latency_ms=2.0,
+                              record_batches=True, fault_plans={0: plan})
+        with Server(artifact, config) as server:
+            tickets = _submit_all(server, texts, domains)
+            assert server.wait_ready(60.0), "slot 0 was not respawned"
+            assert server.drain(60.0), "queue failed to drain after the death"
+            results = [ticket.result(timeout=5.0) for ticket in tickets]
+
+            assert all(result.ok for result in results), \
+                [result.error for result in results if not result.ok]
+            snap = server.stats.snapshot()
+            assert snap["served"] == len(texts)      # zero lost tickets
+            assert snap["in_queue"] == 0
+            assert snap["worker_deaths"] == 1
+            assert snap["worker_restarts"] == 1
+            assert server.health()["status"] == "ok"
+            assert_bit_parity(server, tickets, reference_predictor)
+
+    def test_startup_death_without_restart_budget_fails_readably(
+            self, artifact, sample_requests):
+        """With no restarts left, a start-up death fails the server: every
+        queued ticket gets an error answer and later submissions are refused."""
+        texts, domains = sample_requests
+        plan = FaultPlan(seed=3).fail("serve.worker.start", error=SystemExit)
+        config = ServerConfig(workers=1, max_batch=8, max_latency_ms=2.0,
+                              max_restarts=0, fault_plans={0: plan})
+        with Server(artifact, config) as server:
+            tickets = _submit_all(server, texts[:8], domains[:8])
+            with pytest.raises(RuntimeError, match="restart budget"):
+                server.wait_ready(60.0)
+            results = [ticket.result(timeout=5.0) for ticket in tickets]
+            assert all("restart budget" in result.error for result in results)
+            with pytest.raises(RuntimeError, match="cannot submit"):
+                server.submit_ticket(texts[0], domain=domains[0])
+            assert server.health()["status"] == "failed"
+            snap = server.stats.snapshot()
+            assert snap["failed"] == len(tickets)
+            assert snap["in_queue"] == 0
+
     def test_sigkill_recovers(self, artifact, sample_requests):
         """SIGKILL — no Python cleanup at all — is survived the same way."""
         texts, domains = sample_requests
