@@ -129,21 +129,14 @@ def _record_bench_locked(suite: str, path: str, entries: list[dict],
     return path
 
 
-@contextlib.contextmanager
-def single_blas_thread():
-    """Run the block with the loaded OpenBLAS limited to one thread.
+def openblas_thread_controls():
+    """``(set, get)`` thread-count functions of the loaded OpenBLAS.
 
-    A GEMM large enough for OpenBLAS to split across threads can stall on a
-    shared host: on a 2-core VM a fused scan ran at 40 ms a call instead of
-    3 ms for about a second after its first threaded GEMM, while the smaller
-    composed GEMMs stayed single-threaded and unaffected.  Timing comparisons
-    of kernels run here so both sides see the same one-thread BLAS.  The
-    previous thread count is restored on exit.  Without a recognisable
-    OpenBLAS this is a no-op.
+    Both are ``None`` when no recognisable OpenBLAS is mapped into the
+    process (load NumPy first).
     """
     import ctypes
 
-    setter = getter = None
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
             libraries = sorted({line.split()[-1] for line in handle
@@ -157,19 +150,34 @@ def single_blas_thread():
             setter = getattr(handle, suffix.format("set"), None)
             getter = getattr(handle, suffix.format("get"), None)
             if setter is not None and getter is not None:
-                break
-        if setter is not None and getter is not None:
-            break
-    if setter is None or getter is None:
+                getter.restype = ctypes.c_int
+                return (lambda threads: setter(ctypes.c_int(threads)),
+                        lambda: int(getter()))
+    return None, None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with the loaded OpenBLAS limited to one thread.
+
+    A GEMM large enough for OpenBLAS to split across threads can stall on a
+    shared host: on a 2-core VM a fused scan ran at 40 ms a call instead of
+    3 ms for about a second after its first threaded GEMM, while the smaller
+    composed GEMMs stayed single-threaded and unaffected.  Timing comparisons
+    of kernels run here so both sides see the same one-thread BLAS.  The
+    previous thread count is restored on exit.  Without a recognisable
+    OpenBLAS this is a no-op.
+    """
+    setter, getter = openblas_thread_controls()
+    if setter is None:
         yield
         return
-    getter.restype = ctypes.c_int
-    previous = int(getter())
-    setter(ctypes.c_int(1))
+    previous = getter()
+    setter(1)
     try:
         yield
     finally:
-        setter(ctypes.c_int(previous))
+        setter(previous)
 
 
 def time_call(fn, repeats: int = 5, warmup: int = 1) -> float:

@@ -26,7 +26,7 @@ from repro.nn import (
     Linear,
     TextCNNEncoder,
 )
-from repro.tensor import Tensor, functional as F, fused_kernels
+from repro.tensor import Tensor, functional as F, fused, fused_kernels, no_grad
 
 pytestmark = pytest.mark.perf
 
@@ -63,6 +63,27 @@ def _bench_pair(name: str, run, entries: list[dict], repeats: int = 5) -> float:
     })
     print(f"{name:24s} fused {fused_s * 1e3:8.3f} ms   "
           f"composed {composed_s * 1e3:8.3f} ms   {speedup:5.2f}x")
+    return speedup
+
+
+def _bench_against(name: str, run, baseline, entries: list[dict], dtype: str,
+                   rounds: int = 5, repeats: int = 3) -> float:
+    """Time ``run`` against ``baseline`` (alternating best-of rounds, so
+    host drift hits both sides); append a record; return the speedup."""
+    run_s = baseline_s = float("inf")
+    for _ in range(rounds):
+        run_s = min(run_s, time_call(run, repeats=repeats))
+        baseline_s = min(baseline_s, time_call(baseline, repeats=repeats))
+    speedup = baseline_s / run_s if run_s > 0 else float("inf")
+    entries.append({
+        "name": f"op/{name}",
+        "stacked_ms": round(run_s * 1e3, 4),
+        "per_expert_ms": round(baseline_s * 1e3, 4),
+        "speedup": round(speedup, 2),
+        "dtype": dtype,
+    })
+    print(f"{name:24s} stacked {run_s * 1e3:8.3f} ms   "
+          f"per-expert {baseline_s * 1e3:8.3f} ms   {speedup:5.2f}x")
     return speedup
 
 
@@ -197,6 +218,50 @@ def test_scan_and_fused_layer_ops():
         out = norm(Tensor(x_seq, requires_grad=True))
         (out * out).mean().backward()
     _bench_pair("layer_norm", run_layer_norm, entries)
+
+    path = record_bench("engine", entries)
+    print(f"recorded {len(entries)} entries -> {path}")
+
+    _assert_no_regression(entries)
+
+
+def test_textcnn_experts_stacked_vs_per_expert():
+    """MDFEND's experts: one stacked ``fused.textcnn`` node (the input
+    unfolded once) against one single-encoder node per expert, both fused.
+    The no-grad lane is the frozen-teacher recompute path."""
+    entries: list[dict] = []
+    kernel_sizes = (1, 2, 3, 5)
+    experts = [TextCNNEncoder(DIM, kernel_sizes=kernel_sizes, channels=64,
+                              rng=np.random.default_rng(10 + index))
+               for index in range(4)]
+    weights = [[conv.weight for conv in expert.convolutions] for expert in experts]
+    biases = [[conv.bias for conv in expert.convolutions] for expert in experts]
+    x = Tensor(RNG.standard_normal((BATCH, SEQ, DIM)))
+
+    def stacked():
+        return fused.textcnn(x, weights, biases, kernel_sizes)
+
+    def per_expert():
+        return Tensor.stack([expert(x) for expert in experts], axis=1)
+
+    def train(forward):
+        def step():
+            for expert in experts:
+                expert.zero_grad()
+            out = forward()
+            (out * out).mean().backward()
+        return step
+
+    def infer(forward):
+        def step():
+            with no_grad():
+                forward()
+        return step
+
+    _bench_against("textcnn_experts", train(stacked), train(per_expert), entries,
+                   dtype=str(x.dtype))
+    _bench_against("textcnn_experts/no_grad", infer(stacked), infer(per_expert),
+                   entries, dtype=str(x.dtype))
 
     path = record_bench("engine", entries)
     print(f"recorded {len(entries)} entries -> {path}")

@@ -4,6 +4,10 @@ Makes the package importable even when ``pip install -e .`` has not been run
 (e.g. a fresh offline checkout): the ``src`` layout directory is appended to
 ``sys.path`` as a fallback.
 
+Pins BLAS and OpenMP to one thread before NumPy loads and fails the session
+if the loaded OpenBLAS reports another count, so a plain test run
+regenerates the committed ``benchmarks/results/`` tables byte for byte.
+
 Also registers the ``perf`` marker used by the microbenchmark suite under
 ``benchmarks/perf/``.  Perf tests measure wall-clock throughput, so they are
 excluded from the default (tier-1) run and only collected when pytest is
@@ -13,11 +17,19 @@ invoked with ``--run-perf``.
 import os
 import sys
 
-import pytest
+# One BLAS/OpenMP thread for the whole session and every process it spawns,
+# set before NumPy loads: the committed benchmarks/results/ tables and the
+# bit-identity tests are reproducible only under one fixed thread count
+# (OpenBLAS splits large GEMMs differently with more threads).
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+
+import pytest  # noqa: E402
 
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+_BENCHMARKS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "benchmarks")
 
 
 def pytest_addoption(parser):
@@ -27,7 +39,30 @@ def pytest_addoption(parser):
              "(excluded from the default test run)")
 
 
+def _pin_blas_threads() -> None:
+    """Hold the loaded OpenBLAS to one thread; fail the session otherwise.
+
+    The environment pin only takes effect if NumPy loads after it; should a
+    plugin have imported NumPy first, the OpenBLAS setter pins it instead.
+    """
+    import numpy  # noqa: F401  (maps OpenBLAS into the process)
+
+    if _BENCHMARKS not in sys.path:
+        sys.path.insert(0, _BENCHMARKS)
+    from _bench_utils import openblas_thread_controls
+
+    setter, getter = openblas_thread_controls()
+    if getter is None:
+        return
+    if getter() != 1:
+        setter(1)
+    if getter() != 1:
+        pytest.exit(f"OpenBLAS runs {getter()} threads, not the pinned 1",
+                    returncode=pytest.ExitCode.USAGE_ERROR)
+
+
 def pytest_configure(config):
+    _pin_blas_threads()
     config.addinivalue_line(
         "markers",
         "perf: performance microbenchmark (deselected unless --run-perf is given)")

@@ -43,6 +43,8 @@ class FrozenPretrainedEncoder:
         self._embeddings[0] = 0.0  # padding id stays zero
         self._mix_in = rng.standard_normal((output_dim, hidden_dim)) / np.sqrt(output_dim)
         self._mix_out = rng.standard_normal((hidden_dim, output_dim)) / np.sqrt(hidden_dim)
+        #: scaled positional table per sequence length, built on first use
+        self._positional: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -54,6 +56,16 @@ class FrozenPretrainedEncoder:
         encoding[:, 0::2] = np.sin(angles[:, 0::2])
         encoding[:, 1::2] = np.cos(angles[:, 1::2])
         return encoding
+
+    def _scaled_positional(self, length: int) -> np.ndarray:
+        """``positional_scale`` times the ``(1, length, output_dim)`` table."""
+        table = self._positional.get(length)
+        if table is None:
+            table = self.positional_scale * self._positional_encoding(
+                length, self.output_dim)[None]
+            table.flags.writeable = False
+            self._positional[length] = table
+        return table
 
     def _contextualise(self, token_states: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Average each position with its ``context_window`` neighbours."""
@@ -93,8 +105,7 @@ class FrozenPretrainedEncoder:
                 f"{token_ids.shape}")
 
         states = self._embeddings[token_ids]
-        positional = self._positional_encoding(token_ids.shape[1], self.output_dim)
-        states = states + self.positional_scale * positional[None]
+        states = states + self._scaled_positional(token_ids.shape[1])
         states = states * mask[..., None]
         states = self._contextualise(states, mask)
         hidden = np.tanh(states @ self._mix_in)

@@ -6,13 +6,17 @@ These implement Section VI-A-3 of the paper:
 * ``FNED = sum_d |FNR - FNR_d|`` (Eq. 17)
 * ``Total = FPED + FNED``
 
+A domain's FNR is undefined when it has no fake items and its FPR when it
+has no real ones; such a domain is left out of that sum (it would otherwise
+add the whole overall rate) and the report names it.
+
 together with Definition 3 (domain disparate mistreatment), which holds when
 every pair of domains has (approximately) equal FNR and FPR.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +56,12 @@ class DomainBiasReport:
     fpr_per_domain: dict[str, float]
     fned: float
     fped: float
+    #: domains without fake items: their FNR is undefined (reported as 0.0)
+    #: and they are left out of ``fned``
+    fnr_undefined: list[str] = field(default_factory=list)
+    #: domains without real items: their FPR is undefined (reported as 0.0)
+    #: and they are left out of ``fped``
+    fpr_undefined: list[str] = field(default_factory=list)
 
     @property
     def total(self) -> float:
@@ -66,6 +76,8 @@ class DomainBiasReport:
             "fned": self.fned,
             "fped": self.fped,
             "total": self.total,
+            "fnr_undefined": list(self.fnr_undefined),
+            "fpr_undefined": list(self.fpr_undefined),
         }
 
     @classmethod
@@ -89,6 +101,8 @@ class DomainBiasReport:
                 fpr_per_domain={k: float(v) for k, v in fpr_per_domain.items()},
                 fned=float(payload["fned"]),
                 fped=float(payload["fped"]),
+                fnr_undefined=[str(name) for name in payload.get("fnr_undefined", ())],
+                fpr_undefined=[str(name) for name in payload.get("fpr_undefined", ())],
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(
@@ -104,13 +118,18 @@ class DomainBiasReport:
 
         The per-domain contribution to ``total``; the streaming
         :class:`repro.streaming.DriftMonitor` thresholds this to decide which
-        domain degraded.
+        domain degraded.  An undefined rate contributes nothing, as in
+        ``total``.
         """
         if domain not in self.fnr_per_domain:
             raise KeyError(f"unknown domain '{domain}'; report covers "
                            f"{list(self.fnr_per_domain)}")
-        return (abs(self.fnr_per_domain[domain] - self.fnr_overall)
-                + abs(self.fpr_per_domain[domain] - self.fpr_overall))
+        deviation = 0.0
+        if domain not in self.fnr_undefined:
+            deviation += abs(self.fnr_per_domain[domain] - self.fnr_overall)
+        if domain not in self.fpr_undefined:
+            deviation += abs(self.fpr_per_domain[domain] - self.fpr_overall)
+        return deviation
 
 
 def domain_bias_report(y_true: np.ndarray, y_pred: np.ndarray, domains: np.ndarray,
@@ -124,22 +143,37 @@ def domain_bias_report(y_true: np.ndarray, y_pred: np.ndarray, domains: np.ndarr
 
     fnr_overall = false_negative_rate(y_true, y_pred)
     fpr_overall = false_positive_rate(y_true, y_pred)
+    # Per-domain counts in one pass each; a rate is count / count, the same
+    # division ``false_*_rate`` performs on the domain's rows.
+    count = len(domain_names)
+    fake = y_true == FAKE_LABEL
+    called_fake = y_pred == FAKE_LABEL
+    known = (domains >= 0) & (domains < count)
+
+    def per_domain(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(domains[rows & known].astype(np.int64), minlength=count)
+
+    fakes, reals = per_domain(fake), per_domain(~fake)
+    missed, false_alarms = per_domain(fake & ~called_fake), per_domain(~fake & called_fake)
     fnr_per_domain: dict[str, float] = {}
     fpr_per_domain: dict[str, float] = {}
+    fnr_undefined: list[str] = []
+    fpr_undefined: list[str] = []
     fned = 0.0
     fped = 0.0
     for index, name in enumerate(domain_names):
-        mask = domains == index
-        if not np.any(mask):
+        if fakes[index]:
+            fnr_per_domain[name] = float(missed[index] / fakes[index])
+            fned += abs(fnr_overall - fnr_per_domain[name])
+        else:
             fnr_per_domain[name] = 0.0
+            fnr_undefined.append(name)
+        if reals[index]:
+            fpr_per_domain[name] = float(false_alarms[index] / reals[index])
+            fped += abs(fpr_overall - fpr_per_domain[name])
+        else:
             fpr_per_domain[name] = 0.0
-            continue
-        domain_fnr = false_negative_rate(y_true[mask], y_pred[mask])
-        domain_fpr = false_positive_rate(y_true[mask], y_pred[mask])
-        fnr_per_domain[name] = domain_fnr
-        fpr_per_domain[name] = domain_fpr
-        fned += abs(fnr_overall - domain_fnr)
-        fped += abs(fpr_overall - domain_fpr)
+            fpr_undefined.append(name)
     return DomainBiasReport(
         domain_names=list(domain_names),
         fnr_overall=fnr_overall,
@@ -148,6 +182,8 @@ def domain_bias_report(y_true: np.ndarray, y_pred: np.ndarray, domains: np.ndarr
         fpr_per_domain=fpr_per_domain,
         fned=fned,
         fped=fped,
+        fnr_undefined=fnr_undefined,
+        fpr_undefined=fpr_undefined,
     )
 
 

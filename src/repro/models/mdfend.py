@@ -19,7 +19,7 @@ from repro.models.base import (
     pooled_plm,
 )
 from repro.nn import Dropout, Embedding, ExpertGate, ModuleList, TextCNNEncoder
-from repro.tensor import Tensor
+from repro.tensor import Tensor, fused
 from repro.utils import spawn_rngs
 
 
@@ -53,6 +53,16 @@ class MDFEND(FakeNewsDetector):
         summary = pooled_plm(batch)
         domain_vectors = self.domain_embedding(np.asarray(batch.domains))
         gate_weights = self.gate(Tensor.cat([domain_vectors, summary], axis=1))
-        mixed = mix_experts([expert(sequence) for expert in self.experts],
-                            gate_weights)
-        return self.dropout(mixed)
+        return self.dropout(mix_experts(self._expert_features(sequence), gate_weights))
+
+    def _expert_features(self, sequence: Tensor):
+        """The experts' features: one stacked ``(batch, experts, dim)`` node
+        on the fused path (the input is unfolded once for all experts), the
+        per-expert composed encoders otherwise."""
+        if not fused.is_fused_enabled():
+            return [expert(sequence) for expert in self.experts]
+        return fused.textcnn(
+            sequence,
+            [[conv.weight for conv in expert.convolutions] for expert in self.experts],
+            [[conv.bias for conv in expert.convolutions] for expert in self.experts],
+            self.experts[0].kernel_sizes)

@@ -225,8 +225,12 @@ class DriftMonitor:
             window=len(self._labeled),
             details={
                 "domain_labeled": domain_labeled,
-                "fnr_domain": report.fnr_per_domain[domain],
-                "fpr_domain": report.fpr_per_domain[domain],
+                # None: the window holds no fake (FNR) or no real (FPR)
+                # items of this domain, so the rate is undefined.
+                "fnr_domain": (None if domain in report.fnr_undefined
+                               else report.fnr_per_domain[domain]),
+                "fpr_domain": (None if domain in report.fpr_undefined
+                               else report.fpr_per_domain[domain]),
                 "fnr_overall": report.fnr_overall,
                 "fpr_overall": report.fpr_overall,
             })

@@ -26,7 +26,8 @@ Kernel inventory
 ``masked_mean``       mask-weighted mean over the time axis
 ``mix_experts``       gate-weighted mixture of stacked expert features
 ``layer_norm``        layer normalisation over the last axis
-``textcnn``           multi-kernel conv -> max over time -> ReLU -> concat
+``textcnn``           multi-kernel conv -> max over time -> ReLU -> concat,
+                      for one encoder or N same-shaped experts over one input
 
 All whole-sequence recurrence routes through :func:`lane_scan` — the single
 backward-through-time implementation in the engine.  It consumes
@@ -40,7 +41,8 @@ dead for the whole batch).  ``gru_scan`` / ``lstm_scan`` are one-lane
 wrappers (their ``reverse=True`` flag scans right-to-left and is exercised by
 the parity tests); ``gru_bidir_scan`` / ``lstm_bidir_scan`` run
 (forward, backward) lanes; MoSE's mixture of sequential experts runs all N
-expert lanes in one scan via ``repro.nn.recurrent.lstm_expert_scan``.
+expert lanes in one scan via ``repro.nn.recurrent.lstm_expert_scan``, and
+MDFEND's convolutional experts run as the lanes of one ``textcnn`` node.
 
 Every kernel is verified against its composed-primitive counterpart by
 numerical-gradient parity tests in ``tests/tensor/test_fused.py`` and — for
@@ -56,6 +58,7 @@ composed implementations, which is how the before/after numbers in
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -1012,42 +1015,67 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
 # --------------------------------------------------------------------------- #
 # Multi-kernel TextCNN                                                         #
 # --------------------------------------------------------------------------- #
-def textcnn(x: Tensor, weights: list[Tensor], biases: list[Tensor],
+def textcnn(x: Tensor, weights: Sequence[Tensor] | Sequence[Sequence[Tensor]],
+            biases: Sequence[Tensor] | Sequence[Sequence[Tensor]],
             kernel_sizes: tuple[int, ...]) -> Tensor:
     """Kim (2014) TextCNN over ``(batch, seq, channels)`` in one graph node.
 
     For every kernel ``k`` (weight ``(k * channels, n)``, bias ``(n,)``): a
     valid 1-D convolution, max over time, ReLU; the per-kernel features are
-    concatenated into ``(batch, len(kernel_sizes) * n)``.  Max and ReLU
+    concatenated into ``len(kernel_sizes) * n`` features.  Max and ReLU
     commute, so the ReLU is applied to the pooled ``(batch, n)`` maximum.
+
+    ``weights[k]`` / ``biases[k]`` describe one encoder and give
+    ``(batch, len(kernel_sizes) * n)``.  ``weights[e][k]`` / ``biases[e][k]``
+    describe ``experts`` encoders over the same input (MDFEND's experts) and
+    give the lane-stacked ``(batch, experts, len(kernel_sizes) * n)``.
 
     * The unfold is a zero-copy ``(batch, L_k, k * channels)`` window view
       of ``x``; its reshape to the 2-D ``(batch * L_k, k * channels)`` GEMM
-      operand is the only copy, and one 2-D GEMM per kernel follows.
-    * The bias add writes a time-major ``(L_k, batch, n)`` copy, so the max
-      over time reduces contiguous slabs instead of a strided axis.
+      operand is the only copy, made once per kernel for all experts.
+    * One 2-D GEMM per expert writes, with its bias, into a shared
+      time-major ``(L_k, batch, experts * n)`` buffer, so the max over time
+      reduces contiguous slabs instead of a strided axis.  The GEMMs stay per
+      expert on purpose: one GEMM over the column-stacked expert weights is
+      not bit-identical to the per-expert products on OpenBLAS (it blocks
+      the wider product differently), and the stacked node must reproduce an
+      expert's single-encoder result exactly.
     * The backward routes each pooled gradient to the *first* maximal time
-      step, found once in the forward (flat scatter positions, no
-      ``argmax``); the weight and bias gradients are the dense GEMM and
-      column sum over ``(batch, L_k)`` rows, the composed path's order.
+      step, found once in the forward over all expert lanes (flat scatter
+      positions, no ``argmax``); the bias gradients are one column sum over
+      ``(batch, L_k)`` rows, and each expert's weight gradient is the GEMM
+      of the unfold with its column block of the scattered gradient — the
+      composed path's order.  The input gradient sums the experts inside one
+      GEMM against their column-stacked weights: equal to the per-expert sum
+      up to rounding (MDFEND's input, a frozen feature, takes no gradient).
     """
+    single = isinstance(weights[0], Tensor)
+    if single:
+        weights, biases = [weights], [biases]
+    experts = len(weights)
     batch, seq_len, channels = x.data.shape
-    for weight, kernel_size in zip(weights, kernel_sizes):
-        if weight.data.shape[0] != kernel_size * channels:
-            raise ValueError(f"expected {weight.data.shape[0] // kernel_size} input "
-                             f"channels, got {channels}")
-        if seq_len < kernel_size:
-            raise ValueError(
-                f"sequence length {seq_len} shorter than kernel size {kernel_size}")
-    parents = (x, *weights, *biases)
+    for expert_weights in weights:
+        for weight, kernel_size in zip(expert_weights, kernel_sizes):
+            if weight.data.shape[0] != kernel_size * channels:
+                raise ValueError(f"expected {weight.data.shape[0] // kernel_size} input "
+                                 f"channels, got {channels}")
+            if seq_len < kernel_size:
+                raise ValueError(f"sequence length {seq_len} shorter than kernel "
+                                 f"size {kernel_size}")
+    flat_weights = [weight for expert_weights in weights for weight in expert_weights]
+    flat_biases = [bias for expert_biases in biases for bias in expert_biases]
+    parents = (x, *flat_weights, *flat_biases)
     recording = _recording(*parents)
-    width = weights[0].data.shape[1]
-    cells = batch * width
-    dtype = np.result_type(x.data, *(p.data for p in weights), *(p.data for p in biases))
-    data = np.empty((batch, len(kernel_sizes) * width), dtype)
+    width = flat_weights[0].data.shape[1]
+    lanes = experts * width
+    cells = batch * lanes
+    lane_slices = [slice(expert * width, (expert + 1) * width) for expert in range(experts)]
+    dtype = np.result_type(x.data, *(p.data for p in flat_weights),
+                           *(p.data for p in flat_biases))
+    data = np.empty((batch, experts, len(kernel_sizes) * width), dtype)
     source = np.ascontiguousarray(x.data)
     saved = []
-    for index, (weight, bias, kernel_size) in enumerate(zip(weights, biases, kernel_sizes)):
+    for index, kernel_size in enumerate(kernel_sizes):
         out_len = seq_len - kernel_size + 1
         # Row (b, o) of the unfold is x[b, o:o + k, :] flattened, one
         # contiguous run of a C-contiguous x: the window view keeps x's
@@ -1055,39 +1083,44 @@ def textcnn(x: Tensor, weights: list[Tensor], biases: list[Tensor],
         windows = np.ndarray((batch, out_len, kernel_size * channels), source.dtype,
                              source, 0, source.strides)
         unfolded = windows.reshape(batch * out_len, kernel_size * channels)
-        conv = unfolded @ weight.data
-        time_major = np.empty((out_len, batch, width), dtype)
-        np.add(conv.reshape(batch, out_len, width).transpose(1, 0, 2), bias.data,
-               out=time_major)
-        pooled = time_major.max(axis=0)
-        np.maximum(pooled, 0.0, out=data[:, index * width:(index + 1) * width])
+        time_major = np.empty((out_len, batch, lanes), dtype)
+        for expert, lane in enumerate(lane_slices):
+            conv = unfolded @ weights[expert][index].data
+            np.add(conv.reshape(batch, out_len, width).transpose(1, 0, 2),
+                   biases[expert][index].data, out=time_major[:, :, lane])
+        pooled = time_major.max(axis=0).reshape(batch, experts, width)
+        np.maximum(pooled, 0.0, out=data[:, :, index * width:(index + 1) * width])
         if recording:
-            winners = time_major == pooled
+            winners = time_major == pooled.reshape(batch, lanes)
             positions = np.flatnonzero(winners)
             if positions.size != cells:
                 # Exact ties: keep only the first maximal time step.
                 winners[1:] &= ~np.logical_or.accumulate(winners, axis=0)[:-1]
                 positions = np.flatnonzero(winners)
-            # Time-major flat position t * cells + (b * width + n) -> flat
-            # position (b * out_len + t) * width + n of the batch-major
-            # (batch * out_len, width) gradient; ``cell`` indexes the pooled grad.
+            # Time-major flat position t * cells + (b * lanes + l) -> flat
+            # position (b * out_len + t) * lanes + l of the batch-major
+            # (batch * out_len, lanes) gradient; ``cell`` indexes the pooled grad.
             step, cell = np.divmod(positions, cells)
-            row_major = ((cell // width) * out_len + step) * width + cell % width
+            row_major = ((cell // lanes) * out_len + step) * lanes + cell % lanes
             saved.append((unfolded, row_major, cell, pooled > 0.0))
+    if single:
+        data = data.reshape(batch, len(kernel_sizes) * width)
     if not recording:
         return _wrap(data)
 
     def backward(grad):
-        for index, (weight, bias, kernel_size) in enumerate(
-                zip(weights, biases, kernel_sizes)):
+        grad = grad.reshape(batch, experts, len(kernel_sizes) * width)
+        for index, kernel_size in enumerate(kernel_sizes):
             unfolded, row_major, cell, alive = saved[index]
             out_len = seq_len - kernel_size + 1
-            routed = grad[:, index * width:(index + 1) * width] * alive
-            d_conv = np.zeros(batch * out_len * width, routed.dtype)
+            routed = grad[:, :, index * width:(index + 1) * width] * alive
+            d_conv = np.zeros(batch * out_len * lanes, routed.dtype)
             d_conv[row_major] = routed.reshape(-1)[cell]
-            d_conv = d_conv.reshape(batch * out_len, width)
+            d_conv = d_conv.reshape(batch * out_len, lanes)
             if x.requires_grad:
-                d_unfolded = d_conv @ weight.data.T
+                stacked = (weights[0][index].data if experts == 1 else np.concatenate(
+                    [expert_weights[index].data for expert_weights in weights], axis=1))
+                d_unfolded = d_conv @ stacked.T
                 if kernel_size == 1:
                     d_x = d_unfolded.reshape(batch, seq_len, channels)
                 else:
@@ -1096,9 +1129,13 @@ def textcnn(x: Tensor, weights: list[Tensor], biases: list[Tensor],
                     for offset in range(kernel_size):
                         d_x[:, offset:offset + out_len, :] += d_unfolded[:, :, offset, :]
                 x._accumulate_grad(d_x, owned=True)
-            if weight.requires_grad:
-                weight._accumulate_grad(unfolded.T @ d_conv, owned=True)
-            if bias.requires_grad:
-                bias._accumulate_grad(d_conv.sum(axis=0), owned=True)
+            bias_grads = d_conv.sum(axis=0)
+            for expert, lane in enumerate(lane_slices):
+                weight, bias = weights[expert][index], biases[expert][index]
+                if weight.requires_grad:
+                    weight._accumulate_grad(unfolded.T @ d_conv[:, lane], owned=True)
+                if bias.requires_grad:
+                    # Disjoint slices of a fresh sum: each is the bias's own.
+                    bias._accumulate_grad(bias_grads[lane], owned=True)
 
     return _attach(data, parents, backward)

@@ -71,6 +71,40 @@ class TestDomainBiasReport:
         assert report.fnr_per_domain["b"] == 0.0
         assert report.total == 0.0
 
+    def test_domain_without_fakes_is_left_out_of_fned(self):
+        #            domain a: 2 fakes, 2 reals | domain b: reals only
+        y_true = np.array([1, 1, 0, 0,          0, 0, 0, 0])
+        y_pred = np.array([1, 0, 1, 0,          0, 0, 0, 1])
+        domains = np.array([0, 0, 0, 0,         1, 1, 1, 1])
+        report = domain_bias_report(y_true, y_pred, domains, ["a", "b"])
+        assert report.fnr_undefined == ["b"]
+        assert report.fpr_undefined == []
+        # Overall FNR = 0.5 = FNR_a, so FNED is 0: b's undefined FNR adds
+        # nothing (a 0.0 stand-in would have added the whole 0.5).
+        assert report.fned == 0.0
+        # Overall FPR = 2/6; FPR_a = 1/2, FPR_b = 1/4.
+        assert report.fped == pytest.approx(abs(2 / 6 - 1 / 2) + abs(2 / 6 - 1 / 4))
+        assert report.deviation("b") == pytest.approx(abs(2 / 6 - 1 / 4))
+        assert sum(report.deviation(name) for name in report.domain_names) \
+            == pytest.approx(report.total)
+
+    def test_domain_without_reals_is_left_out_of_fped(self):
+        y_true = np.array([1, 0, 1, 1])
+        y_pred = np.array([1, 1, 1, 1])
+        domains = np.array([0, 0, 1, 1])
+        report = domain_bias_report(y_true, y_pred, domains, ["a", "b"])
+        assert report.fpr_undefined == ["b"]
+        assert report.fped == 0.0
+
+    def test_undefined_domains_survive_round_trip(self):
+        y_true = np.array([1, 0, 0, 0])
+        y_pred = np.array([1, 0, 1, 0])
+        domains = np.array([0, 0, 1, 1])
+        report = domain_bias_report(y_true, y_pred, domains, ["a", "b", "c"])
+        assert report.fnr_undefined == ["b", "c"]
+        assert report.fpr_undefined == ["c"]
+        assert DomainBiasReport.from_dict(report.as_dict()) == report
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             domain_bias_report(np.array([0, 1]), np.array([0]), np.array([0, 0]), ["a"])

@@ -154,6 +154,36 @@ class TestBiasDrift:
         assert bad.value > bad.threshold
         assert bad.details["fnr_domain"] == pytest.approx(1.0)
 
+    def test_domain_without_fakes_neither_fires_nor_crashes(self):
+        # Domain "real": only real items, all scored correctly; its FNR is
+        # undefined.  Domain "mixed" misses half its fakes, so the pooled
+        # FNR is 0.5 — a 0.0 stand-in FNR for "real" would deviate by 0.5.
+        config = _config(window=32, min_labeled=4, psi_threshold=10.0)
+        monitor = DriftMonitor(["real", "mixed"], config)
+        fired = []
+        for ordinal in range(8):
+            fired.extend(monitor.observe(2 * ordinal, "real", 0.1, 0, 0))
+            label = ordinal % 2
+            predicted = 0 if ordinal % 4 == 1 else label
+            fired.extend(monitor.observe(2 * ordinal + 1, "mixed",
+                                         0.9 if predicted else 0.1, predicted, label))
+        report = monitor.bias_report()
+        assert report.fnr_undefined == ["real"]
+        assert report.fnr_overall == pytest.approx(0.5)
+        assert report.deviation("real") == 0.0
+        assert all(event.domain != "real" for event in fired)
+
+    def test_event_details_name_undefined_rates(self):
+        # Only fakes: every domain's FPR is undefined.
+        config = _config(window=32, min_labeled=4, psi_threshold=10.0)
+        monitor = DriftMonitor(["good", "bad"], config)
+        fired = []
+        for ordinal in range(8):
+            fired.extend(monitor.observe(2 * ordinal, "good", 0.9, 1, 1))
+            fired.extend(monitor.observe(2 * ordinal + 1, "bad", 0.1, 0, 1))
+        assert fired
+        assert all(event.details["fpr_domain"] is None for event in fired)
+
     def test_needs_per_domain_labeled_minimum(self):
         config = _config(window=32, min_labeled=6, psi_threshold=10.0)
         monitor = DriftMonitor(["good", "bad"], config)

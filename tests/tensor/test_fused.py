@@ -359,6 +359,114 @@ class TestTextCNNNode:
             fused.textcnn(Tensor(np.zeros((1, 1, 4))), [weight], [bias], (2,))
 
 
+def _expert_encoders(count, dtype, in_dim=6, kernel_sizes=(1, 2, 3, 5), channels=5):
+    with default_dtype(dtype):
+        return [TextCNNEncoder(in_dim, kernel_sizes=kernel_sizes, channels=channels,
+                               rng=np.random.default_rng(seed)) for seed in range(count)]
+
+
+def _expert_params(encoders):
+    return ([[conv.weight for conv in encoder.convolutions] for encoder in encoders],
+            [[conv.bias for conv in encoder.convolutions] for encoder in encoders])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestTextCNNExperts:
+    """``fused.textcnn`` over an expert axis: one node for N encoders."""
+
+    def test_matches_per_expert_composed_chain(self, dtype):
+        encoders = _expert_encoders(3, dtype)
+        # A ragged batch: rows are zero past their length, so windows wholly
+        # inside the padding tie exactly (each equals the bias).
+        lengths = np.array([12, 9, 5, 7, 12])
+        padded = np.arange(12)[None, :] >= lengths[:, None]
+        x = RNG.standard_normal((5, 12, 6))
+        x[padded] = 0.0
+        x = x.astype(dtype)
+        upstream = RNG.standard_normal((5, 3, 20)).astype(dtype)
+
+        def run(fused_on):
+            with default_dtype(dtype), fused_kernels(fused_on):
+                for encoder in encoders:
+                    encoder.zero_grad()
+                xt = Tensor(x, requires_grad=True)
+                if fused_on:
+                    out = fused.textcnn(xt, *_expert_params(encoders),
+                                        encoders[0].kernel_sizes)
+                else:
+                    out = Tensor.stack([encoder(xt) for encoder in encoders], axis=1)
+                (out * Tensor(upstream)).sum().backward()
+                return out.numpy().copy(), xt.grad.copy(), \
+                    [p.grad.copy() for encoder in encoders for p in encoder.parameters()]
+
+        fused_out, fused_dx, fused_grads = run(True)
+        composed_out, composed_dx, composed_grads = run(False)
+        assert fused_out.shape == (5, 3, 20)
+        assert fused_out.dtype == composed_out.dtype == dtype
+        np.testing.assert_allclose(fused_out, composed_out, atol=ATOL, rtol=1e-5)
+        for got, expected in zip(fused_grads, composed_grads):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
+        # Tied padding windows: the node routes to the first winner, the
+        # composed max splits evenly.  Both reach only padded positions, so
+        # real positions agree exactly and each row's padded total agrees.
+        np.testing.assert_allclose(fused_dx[~padded], composed_dx[~padded],
+                                   atol=ATOL, rtol=1e-5)
+        np.testing.assert_allclose((fused_dx * padded[..., None]).sum(axis=1),
+                                   (composed_dx * padded[..., None]).sum(axis=1),
+                                   atol=ATOL, rtol=1e-5)
+
+    def test_single_graph_node_and_no_grad(self, dtype):
+        encoders = _expert_encoders(4, dtype)
+        x = Tensor(RNG.standard_normal((2, 9, 6)).astype(dtype))
+        weights, biases = _expert_params(encoders)
+        before = graph_nodes_created()
+        out = fused.textcnn(x, weights, biases, encoders[0].kernel_sizes)
+        assert graph_nodes_created() - before == 1
+        with no_grad():
+            before = graph_nodes_created()
+            inferred = fused.textcnn(x, weights, biases, encoders[0].kernel_sizes)
+            assert graph_nodes_created() == before
+        np.testing.assert_array_equal(inferred.numpy(), out.numpy())
+
+    @pytest.mark.parametrize("batch_size", (16, 32, 11))
+    def test_mdfend_bit_identical_to_per_expert_nodes(self, dtype, batch_size):
+        """MDFEND's stacked expert node reproduces its per-expert fused nodes
+        bit for bit: logits, features and every parameter gradient."""
+        from repro.data.loader import Batch
+        from repro.models.base import ModelConfig
+        from repro.models.mdfend import MDFEND
+
+        config = ModelConfig(plm_dim=16, num_domains=3, cnn_channels=8)
+        with default_dtype(dtype):
+            model = MDFEND(config)
+        model.eval()
+        rng = np.random.default_rng(batch_size)
+        lengths = rng.integers(6, 13, batch_size)
+        mask = (np.arange(12)[None, :] < lengths[:, None]).astype(dtype)
+        plm = (rng.standard_normal((batch_size, 12, 16)) * mask[..., None]).astype(dtype)
+        batch = Batch(token_ids=(mask > 0).astype(np.int64), mask=mask,
+                      labels=rng.integers(0, 2, batch_size),
+                      domains=rng.integers(0, 3, batch_size),
+                      indices=np.arange(batch_size), features={"plm": plm})
+
+        def run(stacked):
+            with default_dtype(dtype), pytest.MonkeyPatch.context() as patch:
+                if not stacked:
+                    patch.setattr(model, "_expert_features", lambda sequence: [
+                        expert(sequence) for expert in model.experts])
+                model.zero_grad()
+                logits, features = model.forward_with_features(batch)
+                model._criterion(logits, batch.labels).backward()
+                return [logits.numpy().copy(), features.numpy().copy()] + \
+                    [p.grad.copy() for p in model.parameters()]
+
+        stacked, per_expert = run(True), run(False)
+        assert stacked[0].dtype == dtype
+        for got, expected in zip(stacked, per_expert):
+            assert np.array_equal(got, expected)
+
+
 # --------------------------------------------------------------------------- #
 # Numerical gradients of the fused kernels (float64)                           #
 # --------------------------------------------------------------------------- #
@@ -422,6 +530,25 @@ class TestFusedNumericalGradients:
 
         def loss(xt, *params):
             out = fused.textcnn(xt, params[:3], params[3:], kernel_sizes)
+            return (out ** 2).sum()
+
+        assert_numerical(loss, x, *weights, *biases)
+
+    def test_textcnn_experts(self):
+        kernel_sizes, experts = (1, 2, 3), 3
+        x = RNG.standard_normal((2, 6, 3))
+        weights = [RNG.standard_normal((k * 3, 4)) * 0.5
+                   for _ in range(experts) for k in kernel_sizes]
+        biases = [RNG.standard_normal(4) * 0.1 for _ in range(experts * len(kernel_sizes))]
+
+        def loss(xt, *params):
+            per_expert = len(kernel_sizes)
+            split = experts * per_expert
+            nested_weights = [params[e * per_expert:(e + 1) * per_expert]
+                              for e in range(experts)]
+            nested_biases = [params[split + e * per_expert:split + (e + 1) * per_expert]
+                             for e in range(experts)]
+            out = fused.textcnn(xt, nested_weights, nested_biases, kernel_sizes)
             return (out ** 2).sum()
 
         assert_numerical(loss, x, *weights, *biases)
