@@ -129,33 +129,6 @@ def _record_bench_locked(suite: str, path: str, entries: list[dict],
     return path
 
 
-def openblas_thread_controls():
-    """``(set, get)`` thread-count functions of the loaded OpenBLAS.
-
-    Both are ``None`` when no recognisable OpenBLAS is mapped into the
-    process (load NumPy first).
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as handle:
-            libraries = sorted({line.split()[-1] for line in handle
-                                if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        libraries = []
-    for library in libraries:
-        handle = ctypes.CDLL(library)
-        for suffix in ("scipy_openblas_{}_num_threads64_",
-                       "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            setter = getattr(handle, suffix.format("set"), None)
-            getter = getattr(handle, suffix.format("get"), None)
-            if setter is not None and getter is not None:
-                getter.restype = ctypes.c_int
-                return (lambda threads: setter(ctypes.c_int(threads)),
-                        lambda: int(getter()))
-    return None, None
-
-
 @contextlib.contextmanager
 def single_blas_thread():
     """Run the block with the loaded OpenBLAS limited to one thread.
@@ -168,6 +141,8 @@ def single_blas_thread():
     previous thread count is restored on exit.  Without a recognisable
     OpenBLAS this is a no-op.
     """
+    from repro.utils import openblas_thread_controls
+
     setter, getter = openblas_thread_controls()
     if setter is None:
         yield

@@ -20,9 +20,7 @@ from repro.nn import (
     GRU,
     LSTM,
     AttentionPooling,
-    GRUCell,
     LayerNorm,
-    LSTMCell,
     Linear,
     TextCNNEncoder,
 )
@@ -133,26 +131,6 @@ def test_per_op_fused_vs_composed():
             Tensor(teacher_features), temperature=1.0).backward()
     _bench_pair("add_loss", run_add_loss, entries)
 
-    gru = GRUCell(DIM, HIDDEN, rng=np.random.default_rng(1))
-    hidden = RNG.standard_normal((BATCH, HIDDEN))
-
-    def run_gru_step():
-        gru.zero_grad()
-        out = gru(Tensor(x2, requires_grad=True), Tensor(hidden, requires_grad=True))
-        (out * out).mean().backward()
-    _bench_pair("gru_step", run_gru_step, entries)
-
-    lstm = LSTMCell(DIM, HIDDEN, rng=np.random.default_rng(2))
-    cell = RNG.standard_normal((BATCH, HIDDEN))
-
-    def run_lstm_step():
-        lstm.zero_grad()
-        new_h, _ = lstm(Tensor(x2, requires_grad=True),
-                        Tensor(hidden, requires_grad=True),
-                        Tensor(cell, requires_grad=True))
-        (new_h * new_h).mean().backward()
-    _bench_pair("lstm_step", run_lstm_step, entries)
-
     # TextCNN-S's encoder: one fused.textcnn node against the composed
     # conv -> relu -> max -> cat chain (13 nodes for four kernels).
     encoder = TextCNNEncoder(DIM, kernel_sizes=(1, 2, 3, 5), channels=64,
@@ -175,10 +153,10 @@ def test_per_op_fused_vs_composed():
 def test_scan_and_fused_layer_ops():
     """Whole-sequence scan kernels and the attention/layer-norm fused ops.
 
-    The fused side runs one ``gru_scan``/``lstm_scan`` node per direction; the
-    composed side is the per-step cell loop (itself using the fused step
-    kernels when fusion is on, so the composed timing here is taken with
-    fusion fully off — the same baseline the step benchmarks use).  Smoke
+    The fused side runs each bidirectional encoder pass as one ``lane_scan``
+    node with a forward and a reversed backward lane; the composed side is
+    the per-step loop over the cells' primitive chains.  The ``op/gru_scan``
+    and ``op/lstm_scan`` entry names are kept for the perf trajectory.  Smoke
     target: ``pytest benchmarks/perf/test_perf_ops.py --run-perf -k scan``.
     """
     entries: list[dict] = []

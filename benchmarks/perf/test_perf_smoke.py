@@ -82,20 +82,21 @@ def test_scan_smoke_fused_not_slower_than_composed():
 
 
 def test_scan_smoke_single_node_guarantees():
-    """Every scan entry point must stay a single lane_scan graph node."""
+    """Every recurrent pass must stay a single lane_scan graph node."""
     x = Tensor(RNG.standard_normal((4, 6, 5)), requires_grad=True)
     mask = _mask()[:4, :6]
     gru = GRU(5, 3, bidirectional=True, rng=np.random.default_rng(2))
     lstm = LSTM(5, 3, bidirectional=False, rng=np.random.default_rng(3))
     experts = [LSTM(5, 3, rng=np.random.default_rng(4 + i)) for i in range(3)]
+    zeros = Tensor(np.zeros((4, 3)))
 
     before = graph_nodes_created()
-    fused.gru_bidir_scan(x, *_gru_args(gru), mask=mask)
+    fused.lane_scan("gru", x, (zeros, zeros), None,
+                    *_lane_weights(gru.forward_cell, gru.backward_cell),
+                    mask=mask, lane_reverse=(False, True))
     assert graph_nodes_created() - before == 1
     before = graph_nodes_created()
-    cell = lstm.forward_cell
-    zeros = Tensor(np.zeros((4, 3)))
-    fused.lstm_scan(x, zeros, zeros, cell.weight_ih, cell.weight_hh, cell.bias,
+    fused.lane_scan("lstm", x, (zeros,), (zeros,), *_lane_weights(lstm.forward_cell),
                     mask=mask)
     assert graph_nodes_created() - before == 1
     before = graph_nodes_created()
@@ -103,11 +104,10 @@ def test_scan_smoke_single_node_guarantees():
     assert graph_nodes_created() - before == 1
 
 
-def _gru_args(gru: GRU):
-    zeros = Tensor(np.zeros((4, 3)))
-    fwd, bwd = gru.forward_cell, gru.backward_cell
-    return (zeros, zeros, fwd.weight_ih, fwd.weight_hh, fwd.bias,
-            bwd.weight_ih, bwd.weight_hh, bwd.bias)
+def _lane_weights(*cells):
+    """Per-lane ``(weight_ih, weight_hh, bias)`` lists of ``cells``."""
+    return ([cell.weight_ih for cell in cells], [cell.weight_hh for cell in cells],
+            [cell.bias for cell in cells])
 
 
 def test_distill_smoke_add_loss_single_node_and_parity():

@@ -29,7 +29,6 @@ import pytest  # noqa: E402
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-_BENCHMARKS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "benchmarks")
 
 
 def pytest_addoption(parser):
@@ -45,19 +44,11 @@ def _pin_blas_threads() -> None:
     The environment pin only takes effect if NumPy loads after it; should a
     plugin have imported NumPy first, the OpenBLAS setter pins it instead.
     """
-    import numpy  # noqa: F401  (maps OpenBLAS into the process)
+    from repro.utils import pin_blas_threads
 
-    if _BENCHMARKS not in sys.path:
-        sys.path.insert(0, _BENCHMARKS)
-    from _bench_utils import openblas_thread_controls
-
-    setter, getter = openblas_thread_controls()
-    if getter is None:
-        return
-    if getter() != 1:
-        setter(1)
-    if getter() != 1:
-        pytest.exit(f"OpenBLAS runs {getter()} threads, not the pinned 1",
+    threads = pin_blas_threads()
+    if threads not in (None, 1):
+        pytest.exit(f"OpenBLAS runs {threads} threads, not the pinned 1",
                     returncode=pytest.ExitCode.USAGE_ERROR)
 
 

@@ -26,6 +26,11 @@ Environment variables: ``REPRO_SCALE`` / ``REPRO_SCALE_EN`` (corpus scale),
 ``float32`` runs the whole pipeline — loaders, models, training — on the
 engine's fast path, see ``PERFORMANCE.md``) and ``REPRO_ENCODER_BACKEND``
 (``local`` default; ``backends`` lists the registered kinds).
+
+Every command runs BLAS and OpenMP on one thread, in its own process and in
+the sweep and serve workers it spawns, so the committed tables regenerate
+byte for byte on any host; it exits with status 2 if the loaded OpenBLAS
+still reports another thread count.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from repro.data import dataset_statistics_table, imbalance_summary
 from repro.experiments import (
     TABLE6_BASELINES,
     TABLE7_BASELINES,
-    default_chinese_config,
-    default_english_config,
+    experiment_config,
     format_bias_audit,
     format_case_study,
     format_compact_table,
@@ -53,10 +57,11 @@ from repro.experiments import (
     run_table9_dat_comparison,
 )
 from repro.experiments.io import save_results
+from repro.utils import pin_blas_threads
 
 
-def _base_config(args):
-    factory = default_chinese_config if args.dataset == "chinese" else default_english_config
+def _config_overrides(args) -> dict:
+    """The config overrides the common options name (unset ones are left out)."""
     overrides = {}
     if args.scale is not None:
         overrides["scale"] = args.scale
@@ -64,11 +69,7 @@ def _base_config(args):
         overrides["epochs"] = args.epochs
     if getattr(args, "encoder_backend", None) is not None:
         overrides["encoder_backend"] = args.encoder_backend
-    config = factory(**overrides)
-    if args.epochs is not None:
-        config.dat.epochs = args.epochs
-        config.dtdbd.epochs = args.epochs
-    return config
+    return overrides
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -91,7 +92,7 @@ def _maybe_save(results, args) -> None:
 
 
 def cmd_stats(args) -> int:
-    config = _base_config(args)
+    config = experiment_config(args.dataset, _config_overrides(args))
     bundle = prepare_data(config)
     table = dataset_statistics_table(bundle.dataset)
     print(format_dataset_statistics(table, title=f"{args.dataset} dataset statistics"))
@@ -103,7 +104,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = _base_config(args)
+    config = experiment_config(args.dataset, _config_overrides(args))
     bundle = prepare_data(config)
     audit = run_table3(config, models=tuple(args.models), bundle=bundle)
     print(format_bias_audit(audit))
@@ -112,7 +113,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _base_config(args)
+    config = experiment_config(args.dataset, _config_overrides(args))
     bundle = prepare_data(config)
     if args.baselines:
         baselines = tuple(args.baselines)
@@ -127,7 +128,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    config = _base_config(args)
+    config = experiment_config(args.dataset, _config_overrides(args))
     bundle = prepare_data(config)
     results = run_table8_ablation(config, student_names=tuple(args.students), bundle=bundle)
     for student, rows in results.items():
@@ -142,7 +143,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_case_study(args) -> int:
-    config = _base_config(args)
+    config = experiment_config(args.dataset, _config_overrides(args))
     bundle = prepare_data(config)
     rows = run_figure3_case_study(config, bundle=bundle)
     print(format_case_study(rows))
@@ -157,7 +158,7 @@ def cmd_case_study(args) -> int:
 def cmd_export(args) -> int:
     from repro.experiments import export_pipeline, train_baseline, train_dtdbd_student, train_unbiased
 
-    config = _base_config(args)
+    config = experiment_config(args.dataset, _config_overrides(args))
     bundle = prepare_data(config)
     model_name = args.model or config.student_name
     if args.dtdbd:
@@ -303,13 +304,7 @@ def cmd_sweep(args) -> int:
             print(f"  {name:8s} -> benchmarks/results/{entry.output}.txt")
         return 0
 
-    overrides = {}
-    if args.scale is not None:
-        overrides["scale"] = args.scale
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.encoder_backend is not None:
-        overrides["encoder_backend"] = args.encoder_backend
+    overrides = _config_overrides(args)
     # Pin the effective dtype into every cell spec: the journal fingerprint
     # must distinguish a float32 sweep from a float64 one even when the
     # choice came from the environment.
@@ -692,6 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # One BLAS thread here and in every sweep or serve worker spawned from
+    # here: committed tables and served probabilities are bit-reproducible
+    # only under one fixed thread count.
+    threads = pin_blas_threads()
+    if threads not in (None, 1):
+        print(f"repro: OpenBLAS runs {threads} threads, not the pinned 1",
+              file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args)

@@ -272,70 +272,49 @@ class TeacherCache:
         """
         self._outputs.invalidate(indices, self.loader)
 
-    def _recompute_invalid(self) -> None:
-        """Re-forward stale windows in place (same shapes as `_materialise`)."""
+    def _forward_stale_windows(self) -> None:
+        """Forward every stale window and write its rows in place.
+
+        Arrays that are not materialised count every window as stale, so the
+        full-dataset pass is this same loop.  Windows are ``window_size``
+        rows at multiples of it; a ragged tail is re-windowed over the
+        *last* ``window_size`` rows so its rows still come from a full-size
+        forward, and only the rows no aligned window covers are kept.
+        """
         outputs = self._outputs
-        if not outputs.invalid_windows:
+        fresh = outputs.logits is None
+        if not (fresh or outputs.invalid_windows):
             return
+        total = self.loader.num_samples
+        window = self.window_size
+        aligned, remainder = divmod(total, window)
+        if fresh:
+            outputs.invalid_windows.update(range(aligned + bool(remainder)))
+        logits_out, features_out = outputs.logits, outputs.features
         was_training = self.teacher.training
         if was_training:
             self.teacher.eval()
-        total = self.loader.num_samples
-        window = self.window_size
-        nfull = (total - window) // window + 1 if total >= window else 0
-        remainder = total % window
         with no_grad():
             for window_id in sorted(outputs.invalid_windows):
-                if window_id < nfull:
-                    start = window_id * window
-                    logits, features = self.teacher.forward_with_features(
-                        self.loader.window(start, start + window))
-                    outputs.logits[start:start + window] = logits.numpy()
-                    outputs.features[start:start + window] = features.numpy()
-                else:
-                    # Overlapping tail pass: keep only the trailing rows not
-                    # covered by an aligned window, exactly as materialisation
-                    # does.
-                    logits, features = self.teacher.forward_with_features(
-                        self.loader.window(total - window, total))
-                    outputs.logits[total - remainder:] = \
-                        logits.numpy()[window - remainder:]
-                    outputs.features[total - remainder:] = \
-                        features.numpy()[window - remainder:]
-                self.recomputed_windows += 1
-        if was_training:
-            self.teacher.train()
-        outputs.invalid_windows.clear()
-
-    def _materialise(self) -> None:
-        was_training = self.teacher.training
-        if was_training:
-            self.teacher.eval()
-        total = self.loader.num_samples
-        window = self.window_size
-        logits_parts: list[np.ndarray] = []
-        features_parts: list[np.ndarray] = []
-        with no_grad():
-            for start in range(0, total - window + 1, window):
+                start = window_id * window if window_id < aligned else total - window
+                keep = 0 if window_id < aligned else window - remainder
                 logits, features = self.teacher.forward_with_features(
                     self.loader.window(start, start + window))
-                logits_parts.append(logits.numpy())
-                features_parts.append(features.numpy())
-            remainder = total % window
-            if remainder:
-                # Ragged tail: re-window over the *last* ``window`` rows so the
-                # tail rows are still produced by a full-size forward, then
-                # keep only the rows not already covered above.
-                logits, features = self.teacher.forward_with_features(
-                    self.loader.window(total - window, total))
-                logits_parts.append(logits.numpy()[window - remainder:])
-                features_parts.append(features.numpy()[window - remainder:])
+                logits, features = logits.numpy()[keep:], features.numpy()[keep:]
+                if logits_out is None:
+                    logits_out = np.empty((total, *logits.shape[1:]), logits.dtype)
+                    features_out = np.empty((total, *features.shape[1:]),
+                                            features.dtype)
+                logits_out[start + keep:start + window] = logits
+                features_out[start + keep:start + window] = features
         if was_training:
             self.teacher.train()
-        outputs = self._outputs
-        outputs.logits = np.concatenate(logits_parts, axis=0)
-        outputs.features = np.concatenate(features_parts, axis=0)
-        outputs.stamp = self._stamp()
+        if fresh:
+            outputs.logits, outputs.features = logits_out, features_out
+            outputs.stamp = self._stamp()
+        else:
+            self.recomputed_windows += len(outputs.invalid_windows)
+        outputs.invalid_windows.clear()
 
     def lookup(self, batch: Batch) -> tuple[Tensor, Tensor]:
         """Return the teacher's ``(logits, features)`` for ``batch`` as constants.
@@ -350,10 +329,7 @@ class TeacherCache:
             self._unchecked = False
             if outputs.stamp is not None and outputs.stamp != self._stamp():
                 outputs.drop()
-        if outputs.logits is None:
-            self._materialise()
-        else:
-            self._recompute_invalid()
+        self._forward_stale_windows()
         indices = np.asarray(batch.indices)
         if indices.size and (int(indices.min()) < 0
                              or int(indices.max()) >= outputs.logits.shape[0]):

@@ -4,6 +4,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     default_chinese_config,
     default_english_config,
+    experiment_config,
 )
 from repro.experiments.runner import (
     TABLE6_BASELINES,
@@ -57,6 +58,7 @@ from repro.experiments.tables import (
 
 __all__ = [
     "ExperimentConfig", "default_chinese_config", "default_english_config",
+    "experiment_config",
     "DataBundle", "prepare_data", "export_pipeline",
     "train_baseline", "train_unbiased", "train_dtdbd_student",
     "run_comparison", "run_table3", "run_table8_ablation", "run_table9_dat_comparison",

@@ -118,3 +118,19 @@ def default_english_config(**overrides) -> ExperimentConfig:
         encoder_backend=_env_str("REPRO_ENCODER_BACKEND", "local"),
     )
     return config.with_overrides(**overrides) if overrides else config
+
+
+def experiment_config(dataset: str, overrides: dict | None = None) -> ExperimentConfig:
+    """The dataset's default configuration with ``overrides`` applied.
+
+    The one config builder of the CLI commands and the sweep cells.  An
+    ``epochs`` override also applies to the DAT and DTDBD sub-configs.
+    """
+    overrides = overrides or {}
+    factory = default_chinese_config if dataset == "chinese" else default_english_config
+    config = factory(**overrides)
+    epochs = overrides.get("epochs")
+    if epochs is not None:
+        config.dat.epochs = int(epochs)
+        config.dtdbd.epochs = int(epochs)
+    return config

@@ -155,32 +155,11 @@ def _json_round_trip(value):
     return json.loads(results_to_json(value))
 
 
-def _experiment_config(dataset: str, overrides: dict | None):
-    """Build the dataset's default config with JSON-able overrides applied.
-
-    Mirrors the CLI's config handling: an ``epochs`` override also applies to
-    the DAT and DTDBD sub-configs.
-    """
-    from repro.experiments.config import (
-        default_chinese_config,
-        default_english_config,
-    )
-
-    overrides = dict(overrides or {})
-    factory = (default_chinese_config if dataset == "chinese"
-               else default_english_config)
-    config = factory(**overrides)
-    epochs = overrides.get("epochs")
-    if epochs is not None:
-        config.dat.epochs = int(epochs)
-        config.dtdbd.epochs = int(epochs)
-    return config
-
-
 def _prepared_bundle(dataset: str, overrides: dict | None):
+    from repro.experiments.config import experiment_config
     from repro.experiments.runner import prepare_data
 
-    config = _experiment_config(dataset, overrides)
+    config = experiment_config(dataset, overrides)
     bundle = prepare_data(config)
     bundle.reseed()
     return config, bundle

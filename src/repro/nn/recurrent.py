@@ -5,17 +5,19 @@ paper are built from these blocks.  Sequences are ``(batch, seq, features)``;
 the encoders return both the per-step hidden states and the final state so
 models can choose max/mean pooling or last-state readout.
 
-On the fused fast path (the default) the encoders dispatch to the
-whole-sequence scan kernels — thin wrappers over the N-lane core
-:func:`repro.tensor.fused.lane_scan`: one graph node per encoder pass instead
-of one fused node per time step, with the input-side gate projections batched
-into a single GEMM.  :func:`lstm_expert_scan` exposes the expert-lane form
-(N recurrences over the same input in one scan) used by MoSE.  The per-step cell loop remains as ``forward_composed`` —
-it is the gradient-parity ground truth for the scan kernels and the baseline
-for the perf benchmarks.  Both paths accept an optional 0/1 ``mask``
-(``(batch, seq)``): masked positions carry the previous state through, so
-padded steps contribute nothing to the states or the gradients, and the final
-state of a trailing-padded row is the state at its last valid token.
+Every recurrence runs on :func:`repro.tensor.fused.lane_scan`, the engine's
+one recurrent kernel: one graph node per encoder pass, each direction (or
+expert) a lane, with the input-side gate projections batched into a single
+GEMM.  A unidirectional encoder is one lane, a bidirectional one is a
+forward and a time-reversed backward lane, and :func:`lstm_expert_scan` runs
+N experts over the same input as N lanes (MoSE).  With fusion disabled the
+encoders run ``forward_composed``, the per-step loop over the cells'
+composed primitive chains: it is the gradient-parity ground truth for the
+scan and the baseline for the perf benchmarks.  Both paths accept an
+optional 0/1 ``mask`` (``(batch, seq)``): masked positions carry the previous
+state through, so padded steps contribute nothing to the states or the
+gradients, and the final state of a trailing-padded row is the state at its
+last valid token.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from repro.nn.module import Module
 
 
 class GRUCell(Module):
-    """Single gated-recurrent-unit step.
+    """Single gated-recurrent-unit step as a chain of primitive ops.
 
-    Runs as one fused graph node per step (see :func:`repro.tensor.fused.gru_step`)
-    unless fusion is globally disabled, in which case the composed primitive
-    chain below is used (it is the ground truth for the fused kernel's
-    gradient-parity tests).
+    Gate layout ``[reset, update, new]``; the encoders' scan reads the same
+    weights, and this chain is its parity reference.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int,
@@ -45,11 +45,6 @@ class GRUCell(Module):
         self.bias = init.zeros((3 * hidden_dim,))
 
     def forward(self, x: Tensor, hidden: Tensor) -> Tensor:
-        if fused.is_fused_enabled():
-            return fused.gru_step(x, hidden, self.weight_ih, self.weight_hh, self.bias)
-        return self.forward_composed(x, hidden)
-
-    def forward_composed(self, x: Tensor, hidden: Tensor) -> Tensor:
         gates_x = x @ self.weight_ih + self.bias
         gates_h = hidden @ self.weight_hh
         h = self.hidden_dim
@@ -60,10 +55,10 @@ class GRUCell(Module):
 
 
 class LSTMCell(Module):
-    """Single long short-term memory step.
+    """Single long short-term memory step as a chain of primitive ops.
 
-    Fused into a two-node ``(hidden, cell)`` pair per step (see
-    :func:`repro.tensor.fused.lstm_step`) unless fusion is globally disabled.
+    Gate layout ``[input, forget, candidate, output]``; returns
+    ``(new_hidden, new_cell)``.  The parity reference of the LSTM scan.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int,
@@ -76,12 +71,6 @@ class LSTMCell(Module):
         self.bias = init.zeros((4 * hidden_dim,))
 
     def forward(self, x: Tensor, hidden: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
-        if fused.is_fused_enabled():
-            return fused.lstm_step(x, hidden, cell, self.weight_ih, self.weight_hh,
-                                   self.bias)
-        return self.forward_composed(x, hidden, cell)
-
-    def forward_composed(self, x: Tensor, hidden: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
         gates = x @ self.weight_ih + hidden @ self.weight_hh + self.bias
         h = self.hidden_dim
         input_gate = gates[:, :h].sigmoid()
@@ -99,23 +88,8 @@ def _zero_state(batch: int, hidden_dim: int, dtype=None) -> Tensor:
     return Tensor(np.zeros((batch, hidden_dim), dtype=dtype))
 
 
-def lstm_expert_scan(experts, x: Tensor, mask=None) -> Tensor:
-    """Run N unidirectional LSTM experts over the same input in ONE scan node.
-
-    ``experts`` is a sequence of unidirectional :class:`LSTM` encoders that
-    all read ``x`` (``(batch, seq, features)``); each becomes one lane of
-    :func:`repro.tensor.fused.lane_scan`, so the whole mixture advances in a
-    single time loop (one batched ``(N, B, H) @ (N, H, 4H)`` matmul per step)
-    instead of N sequential :func:`repro.tensor.fused.lstm_scan` calls.
-    Returns the lane-concatenated states ``(batch, seq, N * hidden)`` with
-    expert ``n`` in the feature block ``[n*H : (n+1)*H]``; with a ``mask``,
-    ``states[:, -1]`` holds each expert's state at the row's last valid token
-    (identical semantics to calling each expert separately).
-    """
-    experts = list(experts)
-    if any(getattr(e, "bidirectional", False) for e in experts):
-        raise ValueError("lstm_expert_scan requires unidirectional experts")
-    cells = [e.forward_cell for e in experts]
+def _scan(kind: str, cells, x: Tensor, mask=None, lane_reverse=None) -> Tensor:
+    """One ``lane_scan`` node over ``x`` with one lane per cell, from zero states."""
     batch = x.shape[0]
 
     def zero_states():
@@ -123,9 +97,28 @@ def lstm_expert_scan(experts, x: Tensor, mask=None) -> Tensor:
                 for cell in cells]
 
     return fused.lane_scan(
-        "lstm", x, zero_states(), zero_states(),
+        kind, x, zero_states(), zero_states() if kind == "lstm" else None,
         [cell.weight_ih for cell in cells], [cell.weight_hh for cell in cells],
-        [cell.bias for cell in cells], mask=mask)
+        [cell.bias for cell in cells], mask=mask, lane_reverse=lane_reverse)
+
+
+def lstm_expert_scan(experts, x: Tensor, mask=None) -> Tensor:
+    """Run N unidirectional LSTM experts over the same input in ONE scan node.
+
+    ``experts`` is a sequence of unidirectional :class:`LSTM` encoders that
+    all read ``x`` (``(batch, seq, features)``); each becomes one lane of
+    :func:`repro.tensor.fused.lane_scan`, so the whole mixture advances in a
+    single time loop (one batched ``(N, B, H) @ (N, H, 4H)`` matmul per step)
+    instead of N sequential scans.  Returns the lane-concatenated states
+    ``(batch, seq, N * hidden)`` with expert ``n`` in the feature block
+    ``[n*H : (n+1)*H]``; with a ``mask``, ``states[:, -1]`` holds each
+    expert's state at the row's last valid token (identical semantics to
+    calling each expert separately).
+    """
+    experts = list(experts)
+    if any(getattr(e, "bidirectional", False) for e in experts):
+        raise ValueError("lstm_expert_scan requires unidirectional experts")
+    return _scan("lstm", [e.forward_cell for e in experts], x, mask=mask)
 
 
 def _masked_step(new_state: Tensor, old_state: Tensor, mask, step: int) -> Tensor:
@@ -136,22 +129,25 @@ def _masked_step(new_state: Tensor, old_state: Tensor, mask, step: int) -> Tenso
     return Tensor.where(keep[:, None], new_state, old_state)
 
 
-class GRU(Module):
-    """Uni- or bi-directional GRU sequence encoder.
+class _SequenceEncoder(Module):
+    """Uni- or bi-directional recurrent encoder over one cell type.
 
-    On the fused path each direction runs as one whole-sequence
-    :func:`repro.tensor.fused.gru_scan` node (O(1) graph nodes in sequence
-    length); ``forward_composed`` keeps the per-step cell loop as ground truth.
+    On the fused path a pass is one :func:`_scan` node (O(1) graph nodes in
+    sequence length); ``forward_composed`` runs the subclass's per-step cell
+    loop once per direction and is the scan's ground truth.
     """
+
+    kind: str
+    cell_class: type
 
     def __init__(self, input_dim: int, hidden_dim: int, bidirectional: bool = False,
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.hidden_dim = hidden_dim
         self.bidirectional = bidirectional
-        self.forward_cell = GRUCell(input_dim, hidden_dim, rng=rng)
+        self.forward_cell = self.cell_class(input_dim, hidden_dim, rng=rng)
         if bidirectional:
-            self.backward_cell = GRUCell(input_dim, hidden_dim, rng=rng)
+            self.backward_cell = self.cell_class(input_dim, hidden_dim, rng=rng)
 
     @property
     def output_dim(self) -> int:
@@ -159,24 +155,13 @@ class GRU(Module):
 
     def forward(self, x: Tensor, mask=None) -> tuple[Tensor, Tensor]:
         """Return ``(states, final)``: per-step states and the final state."""
-        if fused.is_fused_enabled():
-            return self.forward_scan(x, mask=mask)
-        return self.forward_composed(x, mask=mask)
-
-    def forward_scan(self, x: Tensor, mask=None) -> tuple[Tensor, Tensor]:
-        batch = x.shape[0]
-        cell = self.forward_cell
-        h0 = _zero_state(batch, self.hidden_dim, dtype=cell.weight_ih.data.dtype)
+        if not fused.is_fused_enabled():
+            return self.forward_composed(x, mask=mask)
         if not self.bidirectional:
-            states = fused.gru_scan(x, h0, cell.weight_ih, cell.weight_hh,
-                                    cell.bias, mask=mask)
+            states = _scan(self.kind, [self.forward_cell], x, mask=mask)
             return states, states[:, -1, :]
-        back = self.backward_cell
-        states = fused.gru_bidir_scan(
-            x, h0, _zero_state(batch, self.hidden_dim,
-                               dtype=back.weight_ih.data.dtype),
-            cell.weight_ih, cell.weight_hh, cell.bias,
-            back.weight_ih, back.weight_hh, back.bias, mask=mask)
+        states = _scan(self.kind, [self.forward_cell, self.backward_cell], x,
+                       mask=mask, lane_reverse=(False, True))
         # Forward final: last step of the forward half; backward final: first
         # step of the backward half (mask carry makes both the last *valid*).
         final = Tensor.cat([states[:, -1, :self.hidden_dim],
@@ -184,101 +169,49 @@ class GRU(Module):
         return states, final
 
     def forward_composed(self, x: Tensor, mask=None) -> tuple[Tensor, Tensor]:
-        batch, seq_len, _ = x.shape
-        forward_states = []
-        state = _zero_state(batch, self.hidden_dim)
-        for step in range(seq_len):
-            state = _masked_step(self.forward_cell(x[:, step, :], state),
-                                 state, mask, step)
-            forward_states.append(state)
+        seq_len = x.shape[1]
+        forward_states = self._step_loop(self.forward_cell, x, mask, range(seq_len))
         if not self.bidirectional:
-            stacked = Tensor.stack(forward_states, axis=1)
-            return stacked, forward_states[-1]
-        backward_states = []
-        state = _zero_state(batch, self.hidden_dim)
-        for step in reversed(range(seq_len)):
-            state = _masked_step(self.backward_cell(x[:, step, :], state),
-                                 state, mask, step)
-            backward_states.append(state)
+            return Tensor.stack(forward_states, axis=1), forward_states[-1]
+        backward_states = self._step_loop(self.backward_cell, x, mask,
+                                          reversed(range(seq_len)))
         backward_states.reverse()
         merged = [Tensor.cat([f, b], axis=1)
                   for f, b in zip(forward_states, backward_states)]
-        stacked = Tensor.stack(merged, axis=1)
         final = Tensor.cat([forward_states[-1], backward_states[0]], axis=1)
-        return stacked, final
+        return Tensor.stack(merged, axis=1), final
 
 
-class LSTM(Module):
-    """Uni- or bi-directional LSTM sequence encoder.
+class GRU(_SequenceEncoder):
+    """Uni- or bi-directional GRU sequence encoder."""
 
-    Same structure as :class:`GRU`: one :func:`repro.tensor.fused.lstm_scan`
-    node per direction on the fused path, per-step cells as ground truth.
-    """
+    kind = "gru"
+    cell_class = GRUCell
 
-    def __init__(self, input_dim: int, hidden_dim: int, bidirectional: bool = False,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        self.hidden_dim = hidden_dim
-        self.bidirectional = bidirectional
-        self.forward_cell = LSTMCell(input_dim, hidden_dim, rng=rng)
-        if bidirectional:
-            self.backward_cell = LSTMCell(input_dim, hidden_dim, rng=rng)
+    def _step_loop(self, cell: GRUCell, x: Tensor, mask, steps) -> list[Tensor]:
+        """Hidden state after each of ``steps``, in the order they run."""
+        state = _zero_state(x.shape[0], self.hidden_dim)
+        states = []
+        for step in steps:
+            state = _masked_step(cell(x[:, step, :], state), state, mask, step)
+            states.append(state)
+        return states
 
-    @property
-    def output_dim(self) -> int:
-        return self.hidden_dim * (2 if self.bidirectional else 1)
 
-    def forward(self, x: Tensor, mask=None) -> tuple[Tensor, Tensor]:
-        if fused.is_fused_enabled():
-            return self.forward_scan(x, mask=mask)
-        return self.forward_composed(x, mask=mask)
+class LSTM(_SequenceEncoder):
+    """Uni- or bi-directional LSTM sequence encoder (hidden states out)."""
 
-    def forward_scan(self, x: Tensor, mask=None) -> tuple[Tensor, Tensor]:
-        batch = x.shape[0]
-        cell = self.forward_cell
-        dtype = cell.weight_ih.data.dtype
-        if not self.bidirectional:
-            states = fused.lstm_scan(
-                x, _zero_state(batch, self.hidden_dim, dtype=dtype),
-                _zero_state(batch, self.hidden_dim, dtype=dtype),
-                cell.weight_ih, cell.weight_hh, cell.bias, mask=mask)
-            return states, states[:, -1, :]
-        back = self.backward_cell
-        states = fused.lstm_bidir_scan(
-            x, _zero_state(batch, self.hidden_dim, dtype=dtype),
-            _zero_state(batch, self.hidden_dim, dtype=dtype),
-            _zero_state(batch, self.hidden_dim, dtype=dtype),
-            _zero_state(batch, self.hidden_dim, dtype=dtype),
-            cell.weight_ih, cell.weight_hh, cell.bias,
-            back.weight_ih, back.weight_hh, back.bias, mask=mask)
-        final = Tensor.cat([states[:, -1, :self.hidden_dim],
-                            states[:, 0, self.hidden_dim:]], axis=1)
-        return states, final
+    kind = "lstm"
+    cell_class = LSTMCell
 
-    def forward_composed(self, x: Tensor, mask=None) -> tuple[Tensor, Tensor]:
-        batch, seq_len, _ = x.shape
-        forward_states = []
-        hidden = _zero_state(batch, self.hidden_dim)
-        cell = _zero_state(batch, self.hidden_dim)
-        for step in range(seq_len):
-            new_hidden, new_cell = self.forward_cell(x[:, step, :], hidden, cell)
+    def _step_loop(self, cell: LSTMCell, x: Tensor, mask, steps) -> list[Tensor]:
+        """Hidden state after each of ``steps``, in the order they run."""
+        hidden = _zero_state(x.shape[0], self.hidden_dim)
+        memory = _zero_state(x.shape[0], self.hidden_dim)
+        states = []
+        for step in steps:
+            new_hidden, new_memory = cell(x[:, step, :], hidden, memory)
             hidden = _masked_step(new_hidden, hidden, mask, step)
-            cell = _masked_step(new_cell, cell, mask, step)
-            forward_states.append(hidden)
-        if not self.bidirectional:
-            stacked = Tensor.stack(forward_states, axis=1)
-            return stacked, forward_states[-1]
-        backward_states = []
-        hidden = _zero_state(batch, self.hidden_dim)
-        cell = _zero_state(batch, self.hidden_dim)
-        for step in reversed(range(seq_len)):
-            new_hidden, new_cell = self.backward_cell(x[:, step, :], hidden, cell)
-            hidden = _masked_step(new_hidden, hidden, mask, step)
-            cell = _masked_step(new_cell, cell, mask, step)
-            backward_states.append(hidden)
-        backward_states.reverse()
-        merged = [Tensor.cat([f, b], axis=1)
-                  for f, b in zip(forward_states, backward_states)]
-        stacked = Tensor.stack(merged, axis=1)
-        final = Tensor.cat([forward_states[-1], backward_states[0]], axis=1)
-        return stacked, final
+            memory = _masked_step(new_memory, memory, mask, step)
+            states.append(hidden)
+        return states

@@ -29,6 +29,7 @@ import numpy as np
 from repro.data.dataset import FAKE_LABEL, LABEL_NAMES, encode_texts
 from repro.data.loader import Batch
 from repro.encoders.channels import ServeRequest
+from repro.nn.conv import Conv1d
 from repro.reliability.faults import fault_point
 from repro.serve.microbatch import MicroBatcher
 from repro.serve.pipeline import Pipeline, verify_pipeline
@@ -80,6 +81,21 @@ class Prediction:
         }
 
 
+def _check_bucket_size(bucket_size: int | None, pipeline: Pipeline) -> None:
+    """Refuse a ``bucket_size`` that short requests could not be scored with."""
+    if bucket_size is None:
+        return
+    if bucket_size < 1:
+        raise ValueError("bucket_size must be a positive integer or None")
+    widest = max((module.kernel_size for _, module in pipeline.model.named_modules()
+                  if isinstance(module, Conv1d)), default=0)
+    if bucket_size < widest:
+        raise ValueError(
+            f"bucket_size {bucket_size} is below the served model's widest "
+            f"convolution kernel {widest}; a short request would pad to "
+            f"fewer positions than that kernel reads")
+
+
 class Predictor:
     """Batched raw-text inference with training-identical encoding.
 
@@ -94,25 +110,20 @@ class Predictor:
         ``None`` (default) pads every batch to the pipeline's training
         ``max_length`` — bit-identical to the training encode.  An integer
         enables length-bucketed padding in multiples of ``bucket_size``
-        (capped at ``max_length``); keep it above the largest convolution
-        kernel of the served model.
-    use_fused:
-        Run forwards with the fused single-node kernels (the fast path).
-        Disable only to cross-check against the composed reference kernels.
+        (capped at ``max_length``).  A value below the served model's widest
+        convolution kernel is refused, here and at :meth:`reload`: a short
+        request would pad to fewer positions than that kernel reads.
     """
 
     def __init__(self, pipeline: Pipeline, default_domain: int | str | None = 0,
-                 bucket_size: int | None = None, use_fused: bool = True,
-                 max_text_chars: int = 100_000):
+                 bucket_size: int | None = None, max_text_chars: int = 100_000):
         self.pipeline = pipeline
         self.default_domain = 0  # placeholder so _domain_index(None) resolves
         self.default_domain = self._domain_index(default_domain)
-        if bucket_size is not None and bucket_size < 1:
-            raise ValueError("bucket_size must be a positive integer or None")
+        _check_bucket_size(bucket_size, pipeline)
         if max_text_chars < 1:
             raise ValueError("max_text_chars must be positive")
         self.bucket_size = bucket_size
-        self.use_fused = use_fused
         self.max_text_chars = max_text_chars
         self.served_by_domain: dict[str, int] = {}
         self.reloads = 0
@@ -148,6 +159,7 @@ class Predictor:
             raise KeyError(
                 f"default domain {self.default_domain} does not exist in the "
                 f"new pipeline ({pipeline.model_config.num_domains} domains)")
+        _check_bucket_size(self.bucket_size, pipeline)
         self.pipeline = pipeline
         pipeline.model.eval()
         self.reloads += 1
@@ -245,7 +257,7 @@ class Predictor:
         if not texts:
             return np.zeros((0, self.pipeline.model_config.num_classes),
                             dtype=np.dtype(self.pipeline.dtype))
-        with default_dtype(self.pipeline.dtype), fused_kernels(self.use_fused):
+        with default_dtype(self.pipeline.dtype), fused_kernels():
             batch = self.encode_batch(texts, domains=domains)
             return self.pipeline.model.predict_proba(batch)
 
@@ -258,7 +270,7 @@ class Predictor:
         if not texts:
             return []
         start = time.perf_counter()
-        with default_dtype(self.pipeline.dtype), fused_kernels(self.use_fused):
+        with default_dtype(self.pipeline.dtype), fused_kernels():
             batch = self.encode_batch(texts, domains=domains)
             probabilities = self.pipeline.model.predict_proba(batch)
         elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -17,11 +17,7 @@ Kernel inventory
 ``add_loss``          the whole ADD loss (Eq. 5–6): normalise -> pairwise
                       distances -> row softmax -> temperature KL in one node
 ``embedding``         table lookup: gather forward, ``np.add.at`` scatter back
-``gru_step``          one fused GRU cell step
-``lstm_step``         one fused LSTM cell step (two-node pair ``h``/``c``)
-``lane_scan``         the N-lane whole-sequence recurrent scan core
-``gru_scan``          whole-sequence GRU scan (single-lane ``lane_scan``)
-``lstm_scan``         whole-sequence LSTM scan (single-lane ``lane_scan``)
+``lane_scan``         the N-lane whole-sequence recurrent scan (GRU or LSTM)
 ``attention_pooling`` score -> masked softmax -> weighted sum over time
 ``masked_mean``       mask-weighted mean over the time axis
 ``mix_experts``       gate-weighted mixture of stacked expert features
@@ -29,20 +25,19 @@ Kernel inventory
 ``textcnn``           multi-kernel conv -> max over time -> ReLU -> concat,
                       for one encoder or N same-shaped experts over one input
 
-All whole-sequence recurrence routes through :func:`lane_scan` — the single
-backward-through-time implementation in the engine.  It consumes
-``(batch, seq, features)`` plus per-lane initial states and weight sets,
-precomputes the input-side gate projections for every lane in one GEMM, and
-runs a single per-step loop over lane-stacked ``(lanes, batch, ·)`` arrays
-inside one graph node; the backward pass is one reverse loop over per-step
-gate activations stashed during the forward.  An optional 0/1 ``mask``
-carries the previous state through padded positions (and skips steps that are
-dead for the whole batch).  ``gru_scan`` / ``lstm_scan`` are one-lane
-wrappers (their ``reverse=True`` flag scans right-to-left and is exercised by
-the parity tests); ``gru_bidir_scan`` / ``lstm_bidir_scan`` run
-(forward, backward) lanes; MoSE's mixture of sequential experts runs all N
-expert lanes in one scan via ``repro.nn.recurrent.lstm_expert_scan``, and
-MDFEND's convolutional experts run as the lanes of one ``textcnn`` node.
+All recurrence routes through :func:`lane_scan`, the engine's one recurrent
+kernel.  It consumes ``(batch, seq, features)`` plus per-lane initial states
+and weight sets, precomputes the input-side gate projections for every lane
+in one GEMM, and runs a single per-step loop over lane-stacked
+``(lanes, batch, ·)`` arrays inside one graph node; the backward pass is one
+reverse loop over per-step gate activations stashed during the forward.  An
+optional 0/1 ``mask`` carries the previous state through padded positions
+(and skips steps that are dead for the whole batch), and ``lane_reverse``
+scans chosen lanes right-to-left.  ``repro.nn.recurrent`` runs a
+unidirectional encoder as one lane, a bidirectional one as (forward,
+backward) lanes and MoSE's mixture of sequential experts as N expert lanes;
+MDFEND's convolutional experts likewise run as the lanes of one ``textcnn``
+node.
 
 Every kernel is verified against its composed-primitive counterpart by
 numerical-gradient parity tests in ``tests/tensor/test_fused.py`` and — for
@@ -65,7 +60,6 @@ import numpy as np
 from repro.tensor.tensor import (
     Tensor,
     _attach,
-    _stable_sigmoid,
     _wrap,
     is_grad_enabled,
 )
@@ -344,130 +338,22 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 
 # --------------------------------------------------------------------------- #
-# Recurrent cell steps                                                         #
-# --------------------------------------------------------------------------- #
-def gru_step(x: Tensor, hidden: Tensor, weight_ih: Tensor, weight_hh: Tensor,
-             bias: Tensor) -> Tensor:
-    """One fused GRU step; mirrors ``GRUCell`` layout ``[reset, update, new]``."""
-    h = hidden.data.shape[-1]
-    gates_x = x.data @ weight_ih.data + bias.data
-    gates_h = hidden.data @ weight_hh.data
-    reset = _stable_sigmoid(gates_x[:, :h] + gates_h[:, :h])
-    update = _stable_sigmoid(gates_x[:, h:2 * h] + gates_h[:, h:2 * h])
-    gh_new = gates_h[:, 2 * h:]
-    candidate = np.tanh(gates_x[:, 2 * h:] + reset * gh_new)
-    data = update * hidden.data + (1.0 - update) * candidate
-    parents = (x, hidden, weight_ih, weight_hh, bias)
-    if not _recording(*parents):
-        return _wrap(data)
-
-    def backward(grad):
-        d_update = grad * (hidden.data - candidate) * update * (1.0 - update)
-        d_candidate = grad * (1.0 - update) * (1.0 - candidate ** 2)
-        d_reset = d_candidate * gh_new * reset * (1.0 - reset)
-        d_gates_x = np.concatenate([d_reset, d_update, d_candidate], axis=1)
-        d_gates_h = np.concatenate([d_reset, d_update, d_candidate * reset], axis=1)
-        if x.requires_grad:
-            x._accumulate_grad(d_gates_x @ weight_ih.data.T, owned=True)
-        if hidden.requires_grad:
-            hidden._accumulate_grad(grad * update + d_gates_h @ weight_hh.data.T,
-                                    owned=True)
-        if weight_ih.requires_grad:
-            weight_ih._accumulate_grad(x.data.T @ d_gates_x, owned=True)
-        if weight_hh.requires_grad:
-            weight_hh._accumulate_grad(hidden.data.T @ d_gates_h, owned=True)
-        if bias.requires_grad:
-            bias._accumulate_grad(d_gates_x.sum(axis=0), owned=True)
-
-    return _attach(data, parents, backward)
-
-
-def lstm_step(x: Tensor, hidden: Tensor, cell: Tensor, weight_ih: Tensor,
-              weight_hh: Tensor, bias: Tensor) -> tuple[Tensor, Tensor]:
-    """One fused LSTM step; gate layout ``[input, forget, candidate, output]``.
-
-    Returns ``(new_hidden, new_cell)`` as a pair of graph nodes: ``new_cell``
-    owns the gradient flow into the gates that write the cell state, and
-    ``new_hidden`` (whose parents include ``new_cell``) owns the output-gate
-    path plus the ``tanh`` read-out of the new cell state.
-    """
-    h = hidden.data.shape[-1]
-    gates = x.data @ weight_ih.data + hidden.data @ weight_hh.data + bias.data
-    input_gate = _stable_sigmoid(gates[:, :h])
-    forget_gate = _stable_sigmoid(gates[:, h:2 * h])
-    candidate = np.tanh(gates[:, 2 * h:3 * h])
-    output_gate = _stable_sigmoid(gates[:, 3 * h:])
-    new_cell_data = forget_gate * cell.data + input_gate * candidate
-    tanh_cell = np.tanh(new_cell_data)
-    new_hidden_data = output_gate * tanh_cell
-
-    cell_parents = (x, hidden, cell, weight_ih, weight_hh, bias)
-    if not _recording(*cell_parents):
-        return _wrap(new_hidden_data), _wrap(new_cell_data)
-
-    # The output-gate gradient is produced by the ``new_hidden`` node but the
-    # matmuls into x / hidden / the weights are done exactly once, by the
-    # ``new_cell`` node (topologically guaranteed to run after ``new_hidden``),
-    # so the fused step performs the same number of matmuls as the composed
-    # chain while collapsing ~15 graph nodes into 2.
-    pending_output = [None]
-
-    def cell_backward(grad_cell):
-        d_input = grad_cell * candidate * input_gate * (1.0 - input_gate)
-        d_forget = grad_cell * cell.data * forget_gate * (1.0 - forget_gate)
-        d_candidate = grad_cell * input_gate * (1.0 - candidate ** 2)
-        d_output = pending_output[0]
-        pending_output[0] = None
-        if d_output is None:
-            d_output = np.zeros_like(d_input)
-        d_gates = np.concatenate([d_input, d_forget, d_candidate, d_output], axis=1)
-        if x.requires_grad:
-            x._accumulate_grad(d_gates @ weight_ih.data.T, owned=True)
-        if hidden.requires_grad:
-            hidden._accumulate_grad(d_gates @ weight_hh.data.T, owned=True)
-        if weight_ih.requires_grad:
-            weight_ih._accumulate_grad(x.data.T @ d_gates, owned=True)
-        if weight_hh.requires_grad:
-            weight_hh._accumulate_grad(hidden.data.T @ d_gates, owned=True)
-        if bias.requires_grad:
-            bias._accumulate_grad(d_gates.sum(axis=0), owned=True)
-        if cell.requires_grad:
-            cell._accumulate_grad(grad_cell * forget_gate, owned=True)
-
-    new_cell = _attach(new_cell_data, cell_parents, cell_backward)
-
-    def hidden_backward(grad_hidden):
-        d_output = grad_hidden * tanh_cell * output_gate * (1.0 - output_gate)
-        if pending_output[0] is None:
-            pending_output[0] = d_output
-        else:
-            pending_output[0] += d_output
-        new_cell._accumulate_grad(grad_hidden * output_gate * (1.0 - tanh_cell ** 2),
-                                  owned=True)
-
-    new_hidden = _attach(new_hidden_data, (new_cell,), hidden_backward)
-    return new_hidden, new_cell
-
-
-# --------------------------------------------------------------------------- #
 # Whole-sequence recurrent scans: the N-lane core                              #
 # --------------------------------------------------------------------------- #
-# There is exactly ONE backward-through-time implementation in this module:
-# :func:`lane_scan`.  It runs a single time loop over lane-stacked
-# ``(lanes, batch, ·)`` arrays, parameterised by cell type (GRU or LSTM gate
-# math share the stash layout, mask carry, dead-step skip and the analytic
-# backward).  A *lane* is one independent recurrence reading the same input
-# sequence with its own weight set:
+# :func:`lane_scan` is the engine's one recurrent kernel: the only fused
+# recurrence and the only backward-through-time implementation.  It runs a
+# single time loop over lane-stacked ``(lanes, batch, ·)`` arrays,
+# parameterised by cell type (GRU or LSTM gate math share the stash layout,
+# mask carry, dead-step skip and the analytic backward).  A *lane* is one
+# independent recurrence reading the same input sequence with its own weight
+# set; ``repro.nn.recurrent`` builds every call:
 #
-# * one lane                 -> ``gru_scan`` / ``lstm_scan``
-# * (forward, backward) lanes -> ``gru_bidir_scan`` / ``lstm_bidir_scan``
-#   (the backward lane consumes time right-to-left via pre-flipped inputs)
-# * (expert_0 .. expert_{N-1}) lanes -> MoSE's mixture of sequential experts,
-#   all N experts advancing inside one loop instead of N sequential scans.
-#
-# The four public scan kernels below are thin wrappers that adapt their
-# historical signatures onto the core; MoSE dispatches through
-# ``repro.nn.recurrent.lstm_expert_scan``.
+# * one lane                  -> a unidirectional ``GRU`` / ``LSTM``
+# * (forward, backward) lanes -> a bidirectional ``GRU`` / ``LSTM`` (BiGRU,
+#   BiGRU-S, StyleLSTM; the backward lane consumes time right-to-left via
+#   pre-flipped inputs)
+# * (expert_0 .. expert_{N-1}) lanes -> ``lstm_expert_scan``, MoSE's mixture
+#   of sequential experts, all N experts advancing inside one loop.
 #
 # Implementation notes:
 #
@@ -494,7 +380,7 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Overflow-free logistic via ``0.5 * tanh(x / 2) + 0.5``, written into ``out``.
 
     ``tanh`` saturates instead of overflowing, so this matches
-    :func:`_stable_sigmoid` to a couple of ulps while costing four in-place
+    ``Tensor.sigmoid`` to a couple of ulps while costing four in-place
     ufunc calls and zero temporaries.
     """
     np.multiply(x, 0.5, out=out)
@@ -814,63 +700,6 @@ def lane_scan(cell: str, x: Tensor, h0, c0, weight_ih, weight_hh, bias,
                 t0._accumulate_grad(d_c[n].copy(), owned=True)
 
     return _attach(states, parents, backward)
-
-
-# --------------------------------------------------------------------------- #
-# Thin wrappers over the N-lane core (historical public signatures)            #
-# --------------------------------------------------------------------------- #
-def gru_scan(x: Tensor, h0: Tensor, weight_ih: Tensor, weight_hh: Tensor,
-             bias: Tensor, mask=None, reverse: bool = False) -> Tensor:
-    """Fused whole-sequence GRU: ``(batch, seq, features) -> (batch, seq, hidden)``.
-
-    Single-lane :func:`lane_scan`; ``reverse=True`` scans right-to-left, with
-    ``states[:, t]`` holding the state *after* consuming ``x[:, t]`` in scan
-    order either way.
-    """
-    return lane_scan("gru", x, (h0,), None, (weight_ih,), (weight_hh,), (bias,),
-                     mask=mask, lane_reverse=(reverse,))
-
-
-def lstm_scan(x: Tensor, h0: Tensor, c0: Tensor, weight_ih: Tensor,
-              weight_hh: Tensor, bias: Tensor, mask=None,
-              reverse: bool = False) -> Tensor:
-    """Fused whole-sequence LSTM returning the hidden states ``(batch, seq, hidden)``.
-
-    Single-lane :func:`lane_scan`; the cell state threads through the scan
-    internally, so gradients enter via the hidden states only — matching a
-    per-step chain whose loss reads the hidden trajectory.
-    """
-    return lane_scan("lstm", x, (h0,), (c0,), (weight_ih,), (weight_hh,), (bias,),
-                     mask=mask, lane_reverse=(reverse,))
-
-
-def gru_bidir_scan(x: Tensor, h0_fwd: Tensor, h0_bwd: Tensor,
-                   wih_fwd: Tensor, whh_fwd: Tensor, bias_fwd: Tensor,
-                   wih_bwd: Tensor, whh_bwd: Tensor, bias_bwd: Tensor,
-                   mask=None) -> Tensor:
-    """Fused bidirectional GRU scan: one node for ``(batch, seq, 2 * hidden)``.
-
-    A two-lane :func:`lane_scan` — (forward, backward) — so both directions
-    advance inside a single time loop with one batched hidden-side matmul per
-    step.  Output layout: ``[:, :, :H]`` forward states, ``[:, :, H:]``
-    backward states.
-    """
-    return lane_scan("gru", x, (h0_fwd, h0_bwd), None,
-                     (wih_fwd, wih_bwd), (whh_fwd, whh_bwd), (bias_fwd, bias_bwd),
-                     mask=mask, lane_reverse=(False, True))
-
-
-def lstm_bidir_scan(x: Tensor, h0_fwd: Tensor, c0_fwd: Tensor,
-                    h0_bwd: Tensor, c0_bwd: Tensor,
-                    wih_fwd: Tensor, whh_fwd: Tensor, bias_fwd: Tensor,
-                    wih_bwd: Tensor, whh_bwd: Tensor, bias_bwd: Tensor,
-                    mask=None) -> Tensor:
-    """Fused bidirectional LSTM scan (two-lane :func:`lane_scan`); returns
-    hidden states ``(batch, seq, 2 * hidden)``.
-    """
-    return lane_scan("lstm", x, (h0_fwd, h0_bwd), (c0_fwd, c0_bwd),
-                     (wih_fwd, wih_bwd), (whh_fwd, whh_bwd), (bias_fwd, bias_bwd),
-                     mask=mask, lane_reverse=(False, True))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,8 @@
-"""Small shared utilities: seeding and batching helpers."""
+"""Small shared utilities: seeding, batching and the BLAS thread pin."""
 
 from __future__ import annotations
 
+import os
 from typing import Iterator
 
 import numpy as np
@@ -88,3 +89,55 @@ def batched_indices(n: int, batch_size: int, rng: np.random.Generator | None = N
     if stop <= 0:
         return
     yield from np.split(order[:stop], range(batch_size, stop, batch_size))
+
+
+# --------------------------------------------------------------------------- #
+# One BLAS thread                                                              #
+# --------------------------------------------------------------------------- #
+# OpenBLAS splits a large GEMM differently with more threads, so results are
+# bit-reproducible only under one fixed thread count; every entry point that
+# computes results runs on one.
+def openblas_thread_controls():
+    """``(set, get)`` thread-count functions of the loaded OpenBLAS.
+
+    Both are ``None`` when no recognisable OpenBLAS is mapped into the
+    process (load NumPy first).
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libraries = sorted({line.split()[-1] for line in handle
+                                if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        libraries = []
+    for library in libraries:
+        handle = ctypes.CDLL(library)
+        for suffix in ("scipy_openblas_{}_num_threads64_",
+                       "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            setter = getattr(handle, suffix.format("set"), None)
+            getter = getattr(handle, suffix.format("get"), None)
+            if setter is not None and getter is not None:
+                getter.restype = ctypes.c_int
+                return (lambda threads: setter(ctypes.c_int(threads)),
+                        lambda: int(getter()))
+    return None, None
+
+
+def pin_blas_threads() -> int | None:
+    """Run BLAS on one thread in this process and every process it spawns.
+
+    Sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+    ``MKL_NUM_THREADS`` to 1 (a child's BLAS reads them when it loads) and
+    pins the already-loaded OpenBLAS through its own setter.  Returns the
+    thread count the loaded OpenBLAS reports afterwards, or ``None`` when no
+    recognisable OpenBLAS is loaded.
+    """
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[variable] = "1"
+    setter, getter = openblas_thread_controls()
+    if getter is None:
+        return None
+    if getter() != 1:
+        setter(1)
+    return getter()

@@ -220,6 +220,25 @@ class TestPredict:
         default = pipeline.predictor().encode_batch(["a b c"])
         assert default.token_ids.shape[1] == 16
 
+    def test_bucket_below_widest_kernel_is_refused(self, model_config, tiny_vocab,
+                                                   tiny_encoder, tiny_dataset):
+        """``textcnn`` reads up to 10 positions: a shorter bucket is refused at
+        construction and at reload, and a 10-wide bucket scores a one-token
+        text."""
+        pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+                             "float64", name="textcnn")
+        with pytest.raises(ValueError, match=r"bucket_size 4 .* kernel 10"):
+            pipeline.predictor(bucket_size=4)
+        probabilities = pipeline.predictor(bucket_size=10).predict_proba(["a"])
+        assert probabilities.shape == (1, 2)
+        assert np.isfinite(probabilities).all()
+        narrow = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+                           "float64").predictor(bucket_size=4)
+        served = narrow.pipeline
+        with pytest.raises(ValueError, match=r"bucket_size 4 .* kernel 10"):
+            narrow.reload(pipeline)
+        assert narrow.pipeline is served and narrow.reloads == 0
+
     def test_predict_iter_streams_in_chunks(self, model_config, tiny_vocab,
                                             tiny_encoder, tiny_dataset, probe_items):
         pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset,

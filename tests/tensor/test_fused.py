@@ -187,13 +187,19 @@ class TestFusedComposedParity:
         assert teacher.grad is None
 
     def test_gru_step(self, dtype):
+        """One ``lane_scan`` step from a given state == one composed ``GRUCell`` step."""
         with default_dtype(dtype):
             cell = GRUCell(5, 4, rng=np.random.default_rng(0))
-        x = RNG.standard_normal((3, 5))
+        x = RNG.standard_normal((3, 1, 5))
         h = RNG.standard_normal((3, 4))
 
         def loss(xt, ht):
-            return (cell(xt, ht) ** 2).sum()
+            if fused.is_fused_enabled():
+                new_h = fused.lane_scan("gru", xt, (ht,), None, (cell.weight_ih,),
+                                        (cell.weight_hh,), (cell.bias,))[:, 0]
+            else:
+                new_h = cell(xt[:, 0], ht)
+            return (new_h ** 2).sum()
 
         arrays = [np.asarray(a, dtype=dtype) for a in (x, h)]
         with default_dtype(dtype):
@@ -208,21 +214,31 @@ class TestFusedComposedParity:
                                  composed_grads + composed_params):
             np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
 
-    @pytest.mark.parametrize("readout", ("hidden", "cell", "both"))
-    def test_lstm_step(self, dtype, readout):
+    @pytest.mark.parametrize("state", ("hidden", "cell", "both"))
+    def test_lstm_step(self, dtype, state):
+        """One ``lane_scan`` step == one composed ``LSTMCell`` step.
+
+        ``state`` names the initial state that is non-zero, so the hidden
+        and the cell paths into the step are each checked on their own.
+        """
         with default_dtype(dtype):
             cell_module = LSTMCell(5, 4, rng=np.random.default_rng(0))
-        x = RNG.standard_normal((3, 5))
+        x = RNG.standard_normal((3, 1, 5))
         h = RNG.standard_normal((3, 4))
         c = RNG.standard_normal((3, 4))
+        if state == "cell":
+            h = np.zeros_like(h)
+        if state == "hidden":
+            c = np.zeros_like(c)
 
         def loss(xt, ht, ct):
-            new_h, new_c = cell_module(xt, ht, ct)
-            if readout == "hidden":
-                return (new_h ** 2).sum()
-            if readout == "cell":
-                return (new_c ** 2).sum()
-            return (new_h ** 2).sum() + new_c.sum()
+            if fused.is_fused_enabled():
+                new_h = fused.lane_scan(
+                    "lstm", xt, (ht,), (ct,), (cell_module.weight_ih,),
+                    (cell_module.weight_hh,), (cell_module.bias,))[:, 0]
+            else:
+                new_h, _ = cell_module(xt[:, 0], ht, ct)
+            return (new_h ** 2).sum() + new_h.sum()
 
         arrays = [np.asarray(a, dtype=dtype) for a in (x, h, c)]
         with default_dtype(dtype):
@@ -238,24 +254,38 @@ class TestFusedComposedParity:
             np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
 
     def test_lstm_sequence_chain(self, dtype):
-        """Chained steps: the cell state threads grads through many fused pairs."""
+        """A multi-step scan from non-zero states == chained ``LSTMCell`` steps.
+
+        The cell state threads grads through every step of the chain.
+        """
+        state_rng = np.random.default_rng(2)
         with default_dtype(dtype):
             cell_module = LSTMCell(3, 4, rng=np.random.default_rng(1))
             inputs = np.asarray(RNG.standard_normal((4, 2, 3)), dtype=dtype)
+            h0 = np.asarray(state_rng.standard_normal((2, 4)), dtype=dtype)
+            c0 = np.asarray(state_rng.standard_normal((2, 4)), dtype=dtype)
 
-            def run(fused_on):
-                with fused_kernels(fused_on):
-                    cell_module.zero_grad()
-                    h = Tensor(np.zeros((2, 4), dtype=dtype))
-                    c = Tensor(np.zeros((2, 4), dtype=dtype))
+            def run(scan):
+                cell_module.zero_grad()
+                h, c = Tensor(h0.copy()), Tensor(c0.copy())
+                if scan:
+                    states = fused.lane_scan(
+                        "lstm", Tensor(inputs.transpose(1, 0, 2).copy()), (h,), (c,),
+                        (cell_module.weight_ih,), (cell_module.weight_hh,),
+                        (cell_module.bias,))
+                    loss = (states ** 2).sum()
+                else:
                     outs = []
                     for step in range(inputs.shape[0]):
                         h, c = cell_module(Tensor(inputs[step]), h, c)
                         outs.append(h)
-                    (Tensor.cat(outs, axis=1) ** 2).sum().backward()
-                    return [p.grad.copy() for p in cell_module.parameters()]
+                    loss = (Tensor.cat(outs, axis=1) ** 2).sum()
+                loss.backward()
+                return [loss.item()] + [p.grad.copy() for p in cell_module.parameters()]
 
-            for got, expected in zip(run(True), run(False)):
+            scanned, chained = run(True), run(False)
+            assert abs(scanned[0] - chained[0]) <= ATOL
+            for got, expected in zip(scanned[1:], chained[1:]):
                 np.testing.assert_allclose(got, expected, atol=ATOL, rtol=1e-5)
 
     @pytest.mark.parametrize("kernel_sizes", ((1, 2, 3, 5), (1, 2, 3, 5, 10)))
@@ -499,26 +529,29 @@ class TestFusedNumericalGradients:
             student)
 
     def test_gru_step(self):
+        """A one-step ``lane_scan`` from a given state (the ``seq_len == 1`` edge)."""
         cell = GRUCell(4, 3, rng=np.random.default_rng(3))
         weights = [cell.weight_ih.data.copy(), cell.weight_hh.data.copy(),
                    cell.bias.data.copy()]
-        x = RNG.standard_normal((2, 4))
+        x = RNG.standard_normal((2, 1, 4))
         h = RNG.standard_normal((2, 3))
         assert_numerical(
-            lambda xt, ht, wih, whh, b: (fused.gru_step(xt, ht, wih, whh, b) ** 2).sum(),
+            lambda xt, ht, wih, whh, b: (fused.lane_scan(
+                "gru", xt, (ht,), None, (wih,), (whh,), (b,)) ** 2).sum(),
             x, h, *weights)
 
     def test_lstm_step(self):
+        """A one-step ``lane_scan`` from given states (the ``seq_len == 1`` edge)."""
         cell = LSTMCell(4, 3, rng=np.random.default_rng(3))
         weights = [cell.weight_ih.data.copy(), cell.weight_hh.data.copy(),
                    cell.bias.data.copy()]
-        x = RNG.standard_normal((2, 4))
+        x = RNG.standard_normal((2, 1, 4))
         h = RNG.standard_normal((2, 3))
         c = RNG.standard_normal((2, 3))
 
         def loss(xt, ht, ct, wih, whh, b):
-            new_h, new_c = fused.lstm_step(xt, ht, ct, wih, whh, b)
-            return (new_h ** 2).sum() + new_c.sum()
+            new_h = fused.lane_scan("lstm", xt, (ht,), (ct,), (wih,), (whh,), (b,))
+            return (new_h ** 2).sum() + new_h.sum()
 
         assert_numerical(loss, x, h, c, *weights)
 

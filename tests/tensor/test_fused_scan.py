@@ -1,8 +1,8 @@
 """Parity, numerical-gradient and node-count tests for the scan-era kernels.
 
-Covers the N-lane scan core (``lane_scan``) behind the whole-sequence
-recurrent kernels (``gru_scan`` / ``lstm_scan`` / the bidirectional wrappers /
-the MoSE expert lanes), the fused attention pooling / layer norm, and the
+Covers the N-lane scan (``lane_scan``), the one recurrent kernel behind the
+GRU / LSTM encoders (one lane, or forward plus reversed backward lanes) and
+the MoSE expert lanes, the fused attention pooling / layer norm, and the
 fused ``masked_mean`` / ``mix_experts`` pooling kernels.  Each kernel is
 checked against the composed-primitive path (the per-step cell loops / the
 primitive chains) in both float64 (1e-6) and float32 (looser, error
@@ -226,8 +226,9 @@ class TestScanNumericalGradients:
         weights = [cell.weight_ih.data.copy(), cell.weight_hh.data.copy(),
                    cell.bias.data.copy()]
         assert_numerical(
-            lambda xt, ht, wih, whh, b: (fused.gru_scan(
-                xt, ht, wih, whh, b, mask=mask, reverse=reverse) ** 2).sum(),
+            lambda xt, ht, wih, whh, b: (fused.lane_scan(
+                "gru", xt, (ht,), None, (wih,), (whh,), (b,), mask=mask,
+                lane_reverse=(reverse,)) ** 2).sum(),
             x, h0, *weights)
 
     @pytest.mark.parametrize("reverse", (False, True))
@@ -240,8 +241,9 @@ class TestScanNumericalGradients:
         weights = [cell.weight_ih.data.copy(), cell.weight_hh.data.copy(),
                    cell.bias.data.copy()]
         assert_numerical(
-            lambda xt, ht, ct, wih, whh, b: (fused.lstm_scan(
-                xt, ht, ct, wih, whh, b, mask=mask, reverse=reverse) ** 2).sum(),
+            lambda xt, ht, ct, wih, whh, b: (fused.lane_scan(
+                "lstm", xt, (ht,), (ct,), (wih,), (whh,), (b,), mask=mask,
+                lane_reverse=(reverse,)) ** 2).sum(),
             x, h0, c0, *weights)
 
     def test_lstm_expert_lanes(self):
