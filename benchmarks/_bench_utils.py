@@ -18,12 +18,39 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+#: Environment overrides that change what the tables hold; with any of them
+#: set, a regenerated table is printed but not checked against the file.
+TABLE_OVERRIDES = ("REPRO_SCALE", "REPRO_SCALE_EN", "REPRO_EPOCHS", "REPRO_DTYPE",
+                   "REPRO_ENCODER_BACKEND")
+
+
 def emit(name: str, text: str) -> None:
-    """Print a regenerated table and persist it under ``benchmarks/results``."""
+    """Print a regenerated table and check it against ``benchmarks/results``.
+
+    ``python -m repro.cli sweep --results-dir benchmarks/results`` is the
+    only writer of those files; at the default settings the text built here
+    must be the committed ``<name>.txt`` byte for byte.
+    """
     print("\n" + text + "\n")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    if any(os.environ.get(variable) for variable in TABLE_OVERRIDES):
+        return
+    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), encoding="utf-8") as handle:
+        committed = handle.read()
+    assert text + "\n" == committed, (
+        f"the regenerated table differs from benchmarks/results/{name}.txt; "
+        "if the change is intended, rewrite the file with `python -m repro.cli "
+        "sweep --results-dir benchmarks/results`")
+
+
+def regenerate(benchmark, table: str, config=None, bundle=None):
+    """Build ``table`` once through its sweep cell's runner, emit it and
+    return the results it was built from."""
+    from repro.experiments.orchestrator import TABLE_CELLS
+
+    cell = TABLE_CELLS[table]
+    text, results = run_once(benchmark, lambda: cell.runner(config, bundle))
+    emit(cell.output, text)
+    return results
 
 
 def run_once(benchmark, fn):

@@ -4,9 +4,10 @@ Every benchmark:
 
 * uses the ``benchmark`` fixture with a single round (the measured quantity is
   the wall-clock of regenerating the table, not a micro-benchmark);
-* prints the regenerated table in the paper's layout;
-* appends the same text to ``benchmarks/results/<experiment>.txt`` so the
-  output survives pytest's capture and can be pasted into EXPERIMENTS.md.
+* builds its table through the sweep cell's runner
+  (``repro.experiments.orchestrator.TABLE_CELLS``), prints it in the paper's
+  layout and, at the default settings, checks it byte for byte against the
+  committed ``benchmarks/results/<experiment>.txt``.
 
 Scale and epochs are controlled by the ``REPRO_SCALE`` / ``REPRO_SCALE_EN`` /
 ``REPRO_EPOCHS`` environment variables (see ``repro.experiments.config``).

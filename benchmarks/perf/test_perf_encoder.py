@@ -21,7 +21,7 @@ import pytest
 
 from _bench_utils import record_bench
 
-from repro.encoders import CachedBackend, FrozenPretrainedEncoder, LocalBackend
+from repro.encoders import CachedBackend, FrozenPretrainedEncoder
 
 
 def _windows(vocab_size: int, rows: int, seq: int, count: int):
@@ -46,7 +46,7 @@ def _repeat_pass_seconds(backend, windows, repeats: int) -> float:
 def test_cached_backend_parity_smoke():
     """Tier-1 guard: cache hits are bit-identical and actually served."""
     encoder = FrozenPretrainedEncoder(vocab_size=80, output_dim=8, seed=2)
-    cached = CachedBackend(LocalBackend(encoder))
+    cached = CachedBackend(encoder)
     for token_ids, mask in _windows(80, rows=4, seq=8, count=3):
         expected = encoder.encode(token_ids, mask)
         np.testing.assert_array_equal(cached.encode(token_ids, mask), expected)
@@ -63,12 +63,11 @@ def test_cached_backend_repeat_traffic_speedup_calibrated():
     windows = _windows(2000, rows=32, seq=24, count=8)
     repeats = 12
 
-    local = LocalBackend(encoder)
-    _repeat_pass_seconds(local, windows, 1)  # warm-up
-    local_s = min(_repeat_pass_seconds(local, windows, repeats)
+    _repeat_pass_seconds(encoder, windows, 1)  # warm-up
+    local_s = min(_repeat_pass_seconds(encoder, windows, repeats)
                   for _ in range(3))
 
-    cached = CachedBackend(LocalBackend(encoder))
+    cached = CachedBackend(encoder)
     _repeat_pass_seconds(cached, windows, 1)  # populate
     cached_s = min(_repeat_pass_seconds(cached, windows, repeats)
                    for _ in range(3))

@@ -145,9 +145,9 @@ def test_inference_smoke_save_load_predict(tmp_path):
     assert expected.dtype == np.float32
     np.testing.assert_allclose(expected.sum(axis=1), 1.0, atol=1e-6)
 
-    from repro.serve import load_pipeline
+    from repro.serve import load_pipeline, save_pipeline
 
-    loaded = load_pipeline(pipeline.save(tmp_path / "smoke"))
+    loaded = load_pipeline(save_pipeline(pipeline, tmp_path / "smoke"))
     observed = loaded.predictor().predict_proba(texts, domains=[0, 1, 2])
     np.testing.assert_array_equal(observed, expected)
 

@@ -44,6 +44,7 @@ from repro.serve import (
     ServerConfig,
     ServerOverloaded,
     load_pipeline,
+    save_pipeline,
 )
 from repro.tensor import default_dtype
 
@@ -67,7 +68,7 @@ def _artifact() -> str:
                                           domain_names=dataset.domain_names)
         _ARTIFACT = os.path.join(tempfile.mkdtemp(prefix="repro-bench-"),
                                  "detector")
-        pipeline.save(_ARTIFACT)
+        save_pipeline(pipeline, _ARTIFACT)
     return _ARTIFACT
 
 

@@ -7,16 +7,11 @@ quantify "mixing" as the normalised entropy of domain labels among t-SNE
 nearest neighbours.
 """
 
-from _bench_utils import emit, run_once
-
-from repro.experiments import format_mixing_scores, run_figure2_mixing
+from _bench_utils import regenerate
 
 
 def test_figure2_domain_mixing_scores(benchmark, chinese_config, chinese_bundle):
-    scores = run_once(benchmark, lambda: run_figure2_mixing(
-        chinese_config, bundle=chinese_bundle, max_points=250))
-    emit("fig2_tsne_mixing",
-         format_mixing_scores(scores, title="Figure 2 — t-SNE domain-mixing scores"))
+    scores = regenerate(benchmark, "fig2", chinese_config, chinese_bundle)
 
     assert set(scores) == {"m3fend", "textcnn_u", "textcnn_u+dat_ie", "textcnn_u+dtdbd"}
     for result in scores.values():

@@ -8,22 +8,12 @@ average, i.e. it resists the domain prior.
 """
 
 import numpy as np
-from _bench_utils import emit, run_once
-
-from repro.analysis import case_study_summary
-from repro.experiments import format_case_study, run_figure3_case_study
+from _bench_utils import regenerate
 
 
 def test_figure3_case_study(benchmark, chinese_config, chinese_bundle):
-    rows = run_once(benchmark, lambda: run_figure3_case_study(chinese_config,
-                                                              bundle=chinese_bundle))
-    summary = case_study_summary(rows)
-    text = format_case_study(rows, title="Figure 3 — case study (ambiguous real news)")
-    text += "\n\nPer-model mean confidence in the true label:\n"
-    for model, stats in summary.items():
-        text += (f"    {model.ljust(10)} accuracy={stats['accuracy']:.2f} "
-                 f"confidence={stats['mean_confidence_true_label']:.3f}\n")
-    emit("fig3_case_study", text)
+    results = regenerate(benchmark, "fig3", chinese_config, chinese_bundle)
+    rows, summary = results["rows"], results["summary"]
 
     assert len(rows) == 3
     assert set(summary) == {"m3fend", "mdfend", "dtdbd"}

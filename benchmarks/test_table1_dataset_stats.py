@@ -1,23 +1,10 @@
 """Table I — Weibo21 per-domain %Fake / %News statistics."""
 
-from _bench_utils import emit, run_once
-
-from repro.data import dataset_statistics_table, imbalance_summary, make_weibo21_like
-from repro.experiments import format_dataset_statistics
+from _bench_utils import regenerate
 
 
 def test_table1_weibo21_statistics(benchmark):
-    def regenerate():
-        dataset = make_weibo21_like(scale=1.0, seed=2024)
-        return dataset, dataset_statistics_table(dataset)
-
-    dataset, table = run_once(benchmark, regenerate)
-    summary = imbalance_summary(dataset)
-    text = format_dataset_statistics(table, title="Table I — Weibo21-like statistics (full scale)")
-    text += ("\nImbalance: %News spread "
-             f"{summary['news_share_spread']:.1f} points, %Fake spread "
-             f"{summary['fake_ratio_spread']:.1f} points")
-    emit("table1_dataset_stats", text)
+    table = regenerate(benchmark, "table1")["statistics"]
 
     by_name = {row["domain"]: row for row in table["domains"]}
     # The paper's Table I numbers must be reproduced exactly at full scale.

@@ -1,18 +1,15 @@
 """Table II — functional comparison of fake-news detection methods (static)."""
 
-from _bench_utils import emit, run_once
-
-from repro.experiments import FUNCTIONAL_COMPARISON, format_functional_comparison
+from _bench_utils import regenerate
 
 
 def test_table2_functional_comparison(benchmark):
-    text = run_once(benchmark, format_functional_comparison)
-    emit("table2_functional_matrix", text)
+    comparison = regenerate(benchmark, "table2")
 
-    ours = FUNCTIONAL_COMPARISON["DTDBD (ours)"]
+    ours = comparison["DTDBD (ours)"]
     assert ours["multi_domain"] and ours["debiasing"]
     assert ours["bias_type"] == "Domain"
     # Only the de-biasing rows declare a bias type, as in the paper.
-    for method, caps in FUNCTIONAL_COMPARISON.items():
+    for method, caps in comparison.items():
         if not caps["debiasing"]:
             assert caps["bias_type"] is None, method

@@ -6,27 +6,20 @@ real-heavy domains (finance, entertainment).
 """
 
 import numpy as np
-from _bench_utils import emit, run_once
+from _bench_utils import regenerate
 
 from repro.analysis import TABLE3_MODELS
-from repro.experiments import format_bias_audit, run_table3
 
 
 def test_table3_domain_bias_of_advanced_baselines(benchmark, chinese_config, chinese_bundle):
-    audit = run_once(benchmark, lambda: run_table3(chinese_config, models=TABLE3_MODELS,
-                                                   bundle=chinese_bundle))
-    text = format_bias_audit(audit, title="Table III — FNR/FPR on skewed domains")
-    summary = audit.skew_summary()
-    lines = ["", "Shape check (mean over models):"]
+    results = regenerate(benchmark, "table3", chinese_config, chinese_bundle)
+    summary = results["skew"]
     fake_heavy_fpr = np.mean([s["fake_heavy_fpr"] for s in summary.values()])
     fake_heavy_fnr = np.mean([s["fake_heavy_fnr"] for s in summary.values()])
     real_heavy_fpr = np.mean([s["real_heavy_fpr"] for s in summary.values()])
     real_heavy_fnr = np.mean([s["real_heavy_fnr"] for s in summary.values()])
-    lines.append(f"  fake-heavy domains: FPR={fake_heavy_fpr:.3f} vs FNR={fake_heavy_fnr:.3f}")
-    lines.append(f"  real-heavy domains: FNR={real_heavy_fnr:.3f} vs FPR={real_heavy_fpr:.3f}")
-    emit("table3_domain_bias", text + "\n".join(lines))
 
-    assert {row.model for row in audit.rows} == set(TABLE3_MODELS)
+    assert set(results["table"]) == set(TABLE3_MODELS)
     # Paper's qualitative claim, on average across the four baselines:
     assert fake_heavy_fpr > real_heavy_fpr
     assert real_heavy_fnr > fake_heavy_fnr

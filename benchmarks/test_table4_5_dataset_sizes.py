@@ -1,38 +1,24 @@
 """Tables IV and V — Chinese and English dataset statistics."""
 
-from _bench_utils import emit, run_once
+from _bench_utils import regenerate
 
-from repro.data import (
-    ENGLISH_DOMAIN_SPECS,
-    WEIBO21_DOMAIN_SPECS,
-    dataset_statistics_table,
-    domain_statistics,
-    make_english_like,
-    make_weibo21_like,
-)
-from repro.experiments import format_dataset_statistics
+from repro.data import ENGLISH_DOMAIN_SPECS, WEIBO21_DOMAIN_SPECS
 
 
 def test_table4_chinese_dataset_statistics(benchmark):
-    dataset = run_once(benchmark, lambda: make_weibo21_like(scale=1.0, seed=2024))
-    table = dataset_statistics_table(dataset)
-    emit("table4_chinese_stats",
-         format_dataset_statistics(table, title="Table IV — Chinese dataset statistics"))
+    table = regenerate(benchmark, "table4")
 
-    stats = {row.name: row for row in domain_statistics(dataset)}
+    stats = {row["domain"]: row for row in table["domains"]}
     for spec in WEIBO21_DOMAIN_SPECS:
-        assert stats[spec.name].fake == spec.fake
-        assert stats[spec.name].real == spec.real
+        assert stats[spec.name]["fake"] == spec.fake
+        assert stats[spec.name]["real"] == spec.real
     assert table["total"] == 9128 and table["total_fake"] == 4488
 
 
 def test_table5_english_dataset_statistics(benchmark):
     # The English corpus is generated at a reduced scale by default (28,764
     # items would dominate benchmark time); the ratios are scale-invariant.
-    dataset = run_once(benchmark, lambda: make_english_like(scale=0.1, seed=2024))
-    table = dataset_statistics_table(dataset)
-    emit("table5_english_stats",
-         format_dataset_statistics(table, title="Table V — English dataset statistics (scale 0.1)"))
+    table = regenerate(benchmark, "table5")
 
     by_name = {row["domain"]: row for row in table["domains"]}
     full = {spec.name: spec for spec in ENGLISH_DOMAIN_SPECS}

@@ -7,17 +7,13 @@ F1 stays competitive with the strongest baselines.
 """
 
 import numpy as np
-from _bench_utils import emit, run_once
+from _bench_utils import regenerate
 
-from repro.experiments import TABLE6_BASELINES, format_comparison_table, run_comparison
+from repro.experiments import TABLE6_BASELINES
 
 
 def test_table6_chinese_comparison(benchmark, chinese_config, chinese_bundle):
-    reports = run_once(benchmark, lambda: run_comparison(
-        chinese_config, baselines=TABLE6_BASELINES, bundle=chinese_bundle))
-    text = format_comparison_table(reports, chinese_bundle.dataset.domain_names,
-                                   title="Table VI — Chinese dataset comparison")
-    emit("table6_chinese_comparison", text)
+    reports = regenerate(benchmark, "table6", chinese_config, chinese_bundle)
 
     assert set(TABLE6_BASELINES).issubset(reports)
     assert {"our_md", "our_m3"}.issubset(reports)

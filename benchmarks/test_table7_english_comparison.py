@@ -6,17 +6,13 @@ M3FEND) because the three English domains share little content.
 """
 
 import numpy as np
-from _bench_utils import emit, run_once
+from _bench_utils import regenerate
 
-from repro.experiments import TABLE7_BASELINES, format_comparison_table, run_comparison
+from repro.experiments import TABLE7_BASELINES
 
 
 def test_table7_english_comparison(benchmark, english_config, english_bundle):
-    reports = run_once(benchmark, lambda: run_comparison(
-        english_config, baselines=TABLE7_BASELINES, bundle=english_bundle))
-    text = format_comparison_table(reports, english_bundle.dataset.domain_names,
-                                   title="Table VII — English dataset comparison")
-    emit("table7_english_comparison", text)
+    reports = regenerate(benchmark, "table7", english_config, english_bundle)
 
     assert set(TABLE7_BASELINES).issubset(reports)
     baseline_totals = [reports[name].total for name in TABLE7_BASELINES]

@@ -7,20 +7,11 @@ Shape claims checked:
   competitive.
 """
 
-from _bench_utils import emit, run_once
-
-from repro.experiments import format_compact_table, run_table8_ablation
+from _bench_utils import regenerate
 
 
 def test_table8_component_ablation(benchmark, chinese_config, chinese_bundle):
-    results = run_once(benchmark, lambda: run_table8_ablation(
-        chinese_config, student_names=("textcnn_s", "bigru_s"), bundle=chinese_bundle))
-
-    blocks = []
-    for student_name, rows in results.items():
-        blocks.append(format_compact_table(
-            rows, title=f"Table VIII — ablation ({student_name})"))
-    emit("table8_ablation", "\n\n".join(blocks))
+    results = regenerate(benchmark, "table8", chinese_config, chinese_bundle)
 
     for student_name, rows in results.items():
         expected_rows = {"student", "student+dat_ie", "teacher_m3", "student+dnd",

@@ -5,18 +5,11 @@ DAT-IE keeps F1 at least as high as plain DAT (the information-entropy term
 prevents the "single most relevant domain" shortcut).
 """
 
-from _bench_utils import emit, run_once
-
-from repro.experiments import format_compact_table, run_table9_dat_comparison
+from _bench_utils import regenerate
 
 
 def test_table9_dat_vs_dat_ie(benchmark, chinese_config, chinese_bundle):
-    results = run_once(benchmark, lambda: run_table9_dat_comparison(
-        chinese_config, student_names=("textcnn_s", "bigru_s"), bundle=chinese_bundle))
-
-    blocks = [format_compact_table(rows, title=f"Table IX — DAT vs DAT-IE ({name})")
-              for name, rows in results.items()]
-    emit("table9_dat_vs_datie", "\n\n".join(blocks))
+    results = regenerate(benchmark, "table9", chinese_config, chinese_bundle)
 
     for name, rows in results.items():
         assert set(rows) == {"student", "student+dat", "student+dat_ie"}, name

@@ -26,7 +26,7 @@ from repro.core import (
     train_unbiased_teacher,
 )
 from repro.data import DataLoader, make_weibo21_like, stratified_split
-from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.encoders import FrozenPretrainedEncoder, stock_channels
 from repro.models import ModelConfig, build_model
 
 
@@ -47,7 +47,7 @@ def main() -> None:
 
     # 2. Frozen encoder + loaders ------------------------------------------ #
     encoder = FrozenPretrainedEncoder(len(vocab), output_dim=32, seed=args.seed)
-    channels = stock_channels(LocalBackend(encoder))
+    channels = stock_channels(encoder)
 
     def loader(split, shuffle):
         return DataLoader(split, vocab, max_length=24, batch_size=32, shuffle=shuffle,

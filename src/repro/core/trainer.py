@@ -341,26 +341,3 @@ class Trainer:
         if self._pending_loader_state is not None:
             loader.set_rng_state(self._pending_loader_state)
             self._pending_loader_state = None
-
-    def export_pipeline(self, path, *, vocab, encoder, max_length: int,
-                        tokenizer=None, domain_names=None,
-                        model_name: str | None = None,
-                        metadata=None) -> str:
-        """Bundle the trained model into a servable artifact at ``path``.
-
-        For :class:`repro.core.dtdbd.DTDBDTrainer` that is the distilled
-        student: the paper deploys the lightweight student, not the teachers.
-
-        Thin wrapper over :func:`repro.serve.export_pipeline`; ``vocab``,
-        ``encoder`` and ``max_length`` must be the ones the training loaders
-        used — ``max_length`` is required because serving pads to it, and a
-        mismatch with the training encode silently shifts probabilities.
-        From a :class:`repro.experiments.DataBundle`, prefer its own
-        ``export_pipeline``, which passes all of them automatically.
-        """
-        from repro.serve import export_pipeline  # deferred: keep core import-light
-
-        return export_pipeline(self.model, path, vocab=vocab, encoder=encoder,
-                               tokenizer=tokenizer, max_length=max_length,
-                               domain_names=domain_names, model_name=model_name,
-                               metadata=metadata)

@@ -4,8 +4,6 @@ from repro.encoders.backends import (
     CachedBackend,
     EncoderBackend,
     EncoderBackendError,
-    LocalBackend,
-    as_backend,
     available_encoder_backends,
     backend_from_spec,
     register_encoder_backend,
@@ -41,9 +39,9 @@ __all__ = [
     "style_features", "emotion_features",
     "STYLE_FEATURE_DIM", "EMOTION_FEATURE_DIM",
     # backends
-    "EncoderBackend", "EncoderBackendError", "LocalBackend", "CachedBackend",
+    "EncoderBackend", "EncoderBackendError", "CachedBackend",
     "register_encoder_backend", "available_encoder_backends",
-    "backend_from_spec", "as_backend", "wrap_encoder", "spec_fingerprint",
+    "backend_from_spec", "wrap_encoder", "spec_fingerprint",
     # channels
     "FeatureChannel", "FeatureChannelError", "ServeRequest",
     "PLMChannel", "StyleChannel", "EmotionChannel",

@@ -2,8 +2,9 @@
 
 The stock kinds — importable and pre-registered:
 
-* ``local`` — :class:`LocalBackend`, the default; delegates to the in-process
-  :class:`repro.encoders.FrozenPretrainedEncoder` bit-identically.
+* ``local`` — :class:`repro.encoders.FrozenPretrainedEncoder` itself, the
+  default: the in-process frozen encoder is a backend, with nothing wrapped
+  around it.
 * ``cached`` — :class:`CachedBackend`, a content-hash LRU decorator over any
   other backend (hit/miss stats, bounded memory, ``invalidate()``).
 
@@ -24,29 +25,10 @@ from repro.encoders.backends.base import (
     wrap_encoder,
 )
 from repro.encoders.backends.cached import CachedBackend
-from repro.encoders.backends.local import LocalBackend
 
 __all__ = [
     "EncoderBackend", "EncoderBackendError", "ENCODER_BACKENDS",
     "register_encoder_backend", "available_encoder_backends",
     "backend_from_spec", "wrap_encoder", "spec_fingerprint",
-    "LocalBackend", "CachedBackend",
+    "CachedBackend",
 ]
-
-
-def as_backend(encoder) -> EncoderBackend:
-    """Normalise ``encoder`` to a backend: raw frozen encoders become ``local``.
-
-    The adapter every refactored entry point (``Pipeline``, ``DataBundle``,
-    the ``plm`` channel) uses so existing call sites passing a bare
-    :class:`FrozenPretrainedEncoder` keep working unchanged.
-    """
-    if isinstance(encoder, EncoderBackend):
-        return encoder
-    from repro.encoders.pretrained import FrozenPretrainedEncoder
-
-    if isinstance(encoder, FrozenPretrainedEncoder):
-        return LocalBackend(encoder)
-    raise EncoderBackendError(
-        f"expected an EncoderBackend or FrozenPretrainedEncoder, got "
-        f"{type(encoder).__name__}")

@@ -3,14 +3,13 @@
 The paper's student and every baseline consume a frozen PLM ("frozen BERT,
 layer 11") purely as an *input feature channel*: token ids go in, a frozen
 ``(batch, seq, dim)`` activation comes out.  Nothing downstream cares where
-that activation was computed — an in-process stand-in, a memoising cache, or
-a remote embedding service are all interchangeable as long as they answer
-``encode``/``encode_pooled`` deterministically for the same window.
+that activation was computed — the in-process stand-in or a memoising cache
+over it are interchangeable as long as they answer ``encode``
+deterministically for the same window.
 
 :class:`EncoderBackend` is that contract, in the style of a client registry:
 
-* ``encode(token_ids, mask)`` / ``encode_pooled(token_ids, mask)`` — the two
-  call shapes :class:`repro.encoders.FrozenPretrainedEncoder` already serves;
+* ``encode(token_ids, mask)`` — the frozen features of one token-id window;
 * ``to_spec()`` / ``from_spec(spec)`` — a JSON round-trip through the kind
   registry, so a pipeline artifact can persist *which backend, configured
   how* and any process can reconstruct it (``backend_from_spec``);
@@ -21,7 +20,7 @@ a remote embedding service are all interchangeable as long as they answer
   streaming-refresh invalidation) that default to no-ops.
 
 Register new kinds with :func:`register_encoder_backend`; the stock kinds are
-``local`` (:class:`~repro.encoders.backends.local.LocalBackend`) and
+``local`` (:class:`repro.encoders.FrozenPretrainedEncoder` itself) and
 ``cached`` (:class:`~repro.encoders.backends.cached.CachedBackend`).
 """
 
@@ -53,11 +52,7 @@ class EncoderBackend(abc.ABC):
     """A pluggable feature-extraction service behind the ``plm`` channel.
 
     Subclasses set the class attribute ``kind`` (their registry key) and
-    implement :meth:`encode` plus the spec round-trip.  The default
-    :meth:`encode_pooled` reproduces the masked mean-pool of
-    :class:`repro.encoders.FrozenPretrainedEncoder` bit-for-bit (identical
-    operations in identical order), so most backends only implement
-    :meth:`encode`.
+    implement :meth:`encode` plus the spec round-trip.
     """
 
     #: registry key; subclasses must override
@@ -77,21 +72,6 @@ class EncoderBackend(abc.ABC):
     @abc.abstractmethod
     def encode(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Frozen features ``(batch, seq, output_dim)`` for a token-id window."""
-
-    def encode_pooled(self, token_ids: np.ndarray,
-                      mask: np.ndarray | None = None) -> np.ndarray:
-        """Masked mean-pooled sentence representation ``(batch, output_dim)``.
-
-        Same operations in the same order as
-        :meth:`FrozenPretrainedEncoder.encode_pooled`, so any backend whose
-        :meth:`encode` is bit-identical to the frozen encoder pools
-        bit-identically too.
-        """
-        if mask is None:
-            mask = (np.asarray(token_ids) != 0).astype(np.float64)
-        states = self.encode(token_ids, mask)
-        counts = np.maximum(np.asarray(mask).sum(axis=1, keepdims=True), 1.0)
-        return states.sum(axis=1) / counts
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -171,23 +151,25 @@ def backend_from_spec(spec: dict) -> EncoderBackend:
     return backend_cls.from_spec(spec)
 
 
-def wrap_encoder(kind: str, encoder, **options) -> EncoderBackend:
-    """Wrap a :class:`FrozenPretrainedEncoder` in the backend ``kind``.
+def wrap_encoder(kind: str, encoder) -> EncoderBackend:
+    """Serve a :class:`FrozenPretrainedEncoder` through the backend ``kind``.
 
-    The construction path :func:`repro.experiments.prepare_data` uses:
-    every stock backend knows how to stand itself up over an in-process
-    frozen encoder (``from_encoder``), so experiment configs select a
-    backend by name plus keyword options.
+    The construction path :func:`repro.experiments.prepare_data` uses, so
+    experiment configs select a backend by name.  ``"local"`` is the
+    encoder itself, returned as it is; every other stock backend stands
+    itself up over it (``from_encoder``).
     """
     backend_cls = ENCODER_BACKENDS.get(kind)
     if backend_cls is None:
         raise EncoderBackendError(
             f"unknown encoder backend kind '{kind}'; registered kinds: "
             f"{list(available_encoder_backends())}")
+    if isinstance(encoder, backend_cls):
+        return encoder
     factory = getattr(backend_cls, "from_encoder", None)
     if factory is None:
         raise EncoderBackendError(
             f"encoder backend '{kind}' cannot be built from a local encoder "
             "(no from_encoder constructor); build it explicitly and pass it "
             "through the channel registry instead")
-    return factory(encoder, **options)
+    return factory(encoder)

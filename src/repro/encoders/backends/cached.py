@@ -156,9 +156,7 @@ class CachedBackend(EncoderBackend):
 
     @classmethod
     def from_encoder(cls, encoder, **options) -> "CachedBackend":
-        from repro.encoders.backends.local import LocalBackend
-
-        return cls(LocalBackend(encoder), **options)
+        return cls(encoder, **options)
 
 
 register_encoder_backend("cached", CachedBackend)

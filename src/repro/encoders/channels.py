@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.data.dataset import NewsItem, default_token_lists
-from repro.encoders.backends import EncoderBackend, as_backend
+from repro.encoders.backends import EncoderBackend
 from repro.encoders.features import (
     emotion_features_batch,
     style_features_batch,
@@ -173,7 +173,7 @@ class PLMChannel(FeatureChannel):
     kind = "plm"
 
     def __init__(self, backend: EncoderBackend):
-        self.backend = as_backend(backend)
+        self.backend = backend
 
     def extract(self, items, token_ids, mask):
         return self.backend.encode(token_ids, mask)

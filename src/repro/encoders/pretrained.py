@@ -13,16 +13,25 @@ deterministic, frozen token encoder with the same interface and the same role:
 
 Nothing here is trainable — exactly like the frozen PLM in the paper — so the
 encoder output can be treated as an input feature channel and precomputed once
-per dataset by the :class:`repro.data.DataLoader`.
+per dataset by the :class:`repro.data.DataLoader`.  The encoder is itself the
+``local`` :class:`~repro.encoders.backends.EncoderBackend`: pipelines, loaders
+and the ``plm`` channel take it as it is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.encoders.backends.base import EncoderBackend, register_encoder_backend
 
-class FrozenPretrainedEncoder:
+
+class FrozenPretrainedEncoder(EncoderBackend):
     """Deterministic frozen token encoder emulating "frozen BERT, layer 11"."""
+
+    kind = "local"
+    # Plain attributes set in __init__; these class-level values override the
+    # base class's abstract properties.
+    vocab_size = output_dim = None
 
     def __init__(self, vocab_size: int, output_dim: int = 48, hidden_dim: int = 64,
                  context_window: int = 0, positional_scale: float = 0.2, seed: int = 1234):
@@ -112,14 +121,6 @@ class FrozenPretrainedEncoder:
         output = np.tanh(hidden @ self._mix_out) + states  # residual connection
         return output * mask[..., None]
 
-    def encode_pooled(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Masked mean-pooled sentence representation ``(batch, output_dim)``."""
-        if mask is None:
-            mask = (np.asarray(token_ids) != 0).astype(np.float64)
-        states = self.encode(token_ids, mask)
-        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        return states.sum(axis=1) / counts
-
     # ------------------------------------------------------------------ #
     def to_spec(self) -> dict:
         """JSON-serialisable description; :meth:`from_spec` is its exact inverse.
@@ -129,15 +130,18 @@ class FrozenPretrainedEncoder:
         persisting the arguments reconstructs bit-identical features — no
         weight arrays need to ship with a pipeline artifact.
         """
-        return {
+        return {"kind": self.kind, "encoder": {
             "vocab_size": self.vocab_size,
             "output_dim": self.output_dim,
             "hidden_dim": self.hidden_dim,
             "context_window": self.context_window,
             "positional_scale": self.positional_scale,
             "seed": self.seed,
-        }
+        }}
 
     @classmethod
     def from_spec(cls, spec: dict) -> "FrozenPretrainedEncoder":
-        return cls(**spec)
+        return cls(**spec["encoder"])
+
+
+register_encoder_backend("local", FrozenPretrainedEncoder)

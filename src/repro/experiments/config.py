@@ -51,9 +51,6 @@ class ExperimentConfig:
     #: bit-for-bit default; "cached" memoises repeated windows).
     #: ``REPRO_ENCODER_BACKEND`` overrides it in the default configs.
     encoder_backend: str = "local"
-    #: keyword options for the backend's ``from_encoder`` constructor
-    #: (e.g. ``{"max_entries": 512}`` for "cached")
-    encoder_backend_options: dict = field(default_factory=dict)
 
     def trainer_config(self, **overrides) -> TrainerConfig:
         base = TrainerConfig(epochs=self.epochs, learning_rate=self.learning_rate)

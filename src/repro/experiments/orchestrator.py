@@ -165,7 +165,7 @@ def _prepared_bundle(dataset: str, overrides: dict | None):
     return config, bundle
 
 
-def _run_table1(overrides: dict) -> dict:
+def _run_table1(config, bundle):
     from repro.data import (
         dataset_statistics_table,
         imbalance_summary,
@@ -181,29 +181,25 @@ def _run_table1(overrides: dict) -> dict:
     text += ("\nImbalance: %News spread "
              f"{summary['news_share_spread']:.1f} points, %Fake spread "
              f"{summary['fake_ratio_spread']:.1f} points")
-    return {"text": text,
-            "results": _json_round_trip({"statistics": table,
-                                         "imbalance": summary})}
+    return text, {"statistics": table, "imbalance": summary}
 
 
-def _run_table2(overrides: dict) -> dict:
+def _run_table2(config, bundle):
     from repro.experiments.tables import (
         FUNCTIONAL_COMPARISON,
         format_functional_comparison,
     )
 
-    return {"text": format_functional_comparison(),
-            "results": _json_round_trip(FUNCTIONAL_COMPARISON)}
+    return format_functional_comparison(), FUNCTIONAL_COMPARISON
 
 
-def _run_table3(overrides: dict) -> dict:
+def _run_table3(config, bundle):
     import numpy as np
 
     from repro.analysis import TABLE3_MODELS
     from repro.experiments.runner import run_table3
     from repro.experiments.tables import format_bias_audit
 
-    config, bundle = _prepared_bundle("chinese", overrides)
     audit = run_table3(config, models=TABLE3_MODELS, bundle=bundle)
     text = format_bias_audit(audit, title="Table III — FNR/FPR on skewed domains")
     summary = audit.skew_summary()
@@ -214,99 +210,87 @@ def _run_table3(overrides: dict) -> dict:
     real_heavy_fnr = np.mean([s["real_heavy_fnr"] for s in summary.values()])
     lines.append(f"  fake-heavy domains: FPR={fake_heavy_fpr:.3f} vs FNR={fake_heavy_fnr:.3f}")
     lines.append(f"  real-heavy domains: FNR={real_heavy_fnr:.3f} vs FPR={real_heavy_fpr:.3f}")
-    return {"text": text + "\n".join(lines),
-            "results": _json_round_trip({"table": audit.as_table(),
-                                         "skew": summary})}
+    return text + "\n".join(lines), {"table": audit.as_table(), "skew": summary}
 
 
-def _run_table4(overrides: dict) -> dict:
+def _run_table4(config, bundle):
     from repro.data import dataset_statistics_table, make_weibo21_like
     from repro.experiments.tables import format_dataset_statistics
 
     table = dataset_statistics_table(make_weibo21_like(scale=1.0, seed=2024))
-    return {"text": format_dataset_statistics(
-                table, title="Table IV — Chinese dataset statistics"),
-            "results": _json_round_trip(table)}
+    return format_dataset_statistics(
+        table, title="Table IV — Chinese dataset statistics"), table
 
 
-def _run_table5(overrides: dict) -> dict:
+def _run_table5(config, bundle):
     from repro.data import dataset_statistics_table, make_english_like
     from repro.experiments.tables import format_dataset_statistics
 
     table = dataset_statistics_table(make_english_like(scale=0.1, seed=2024))
-    return {"text": format_dataset_statistics(
-                table, title="Table V — English dataset statistics (scale 0.1)"),
-            "results": _json_round_trip(table)}
+    return format_dataset_statistics(
+        table, title="Table V — English dataset statistics (scale 0.1)"), table
 
 
-def _run_comparison_table(dataset: str, overrides: dict, baselines,
-                          title: str) -> dict:
+def _run_comparison_table(config, bundle, baselines, title: str):
     from repro.experiments.runner import run_comparison
     from repro.experiments.tables import format_comparison_table
 
-    config, bundle = _prepared_bundle(dataset, overrides)
     reports = run_comparison(config, baselines=baselines, bundle=bundle)
-    text = format_comparison_table(reports, bundle.dataset.domain_names,
-                                   title=title)
-    return {"text": text, "results": _json_round_trip(reports)}
+    return format_comparison_table(reports, bundle.dataset.domain_names,
+                                   title=title), reports
 
 
-def _run_table6(overrides: dict) -> dict:
+def _run_table6(config, bundle):
     from repro.experiments.runner import TABLE6_BASELINES
 
-    return _run_comparison_table("chinese", overrides, TABLE6_BASELINES,
+    return _run_comparison_table(config, bundle, TABLE6_BASELINES,
                                  "Table VI — Chinese dataset comparison")
 
 
-def _run_table7(overrides: dict) -> dict:
+def _run_table7(config, bundle):
     from repro.experiments.runner import TABLE7_BASELINES
 
-    return _run_comparison_table("english", overrides, TABLE7_BASELINES,
+    return _run_comparison_table(config, bundle, TABLE7_BASELINES,
                                  "Table VII — English dataset comparison")
 
 
-def _run_table8(overrides: dict) -> dict:
+def _run_table8(config, bundle):
     from repro.experiments.runner import run_table8_ablation
     from repro.experiments.tables import format_compact_table
 
-    config, bundle = _prepared_bundle("chinese", overrides)
     results = run_table8_ablation(config, student_names=("textcnn_s", "bigru_s"),
                                   bundle=bundle)
     blocks = [format_compact_table(rows, title=f"Table VIII — ablation ({name})")
               for name, rows in results.items()]
-    return {"text": "\n\n".join(blocks), "results": _json_round_trip(results)}
+    return "\n\n".join(blocks), results
 
 
-def _run_table9(overrides: dict) -> dict:
+def _run_table9(config, bundle):
     from repro.experiments.runner import run_table9_dat_comparison
     from repro.experiments.tables import format_compact_table
 
-    config, bundle = _prepared_bundle("chinese", overrides)
     results = run_table9_dat_comparison(config,
                                         student_names=("textcnn_s", "bigru_s"),
                                         bundle=bundle)
     blocks = [format_compact_table(rows, title=f"Table IX — DAT vs DAT-IE ({name})")
               for name, rows in results.items()]
-    return {"text": "\n\n".join(blocks), "results": _json_round_trip(results)}
+    return "\n\n".join(blocks), results
 
 
-def _run_fig2(overrides: dict) -> dict:
+def _run_fig2(config, bundle):
     from repro.experiments.runner import run_figure2_mixing
     from repro.experiments.tables import format_mixing_scores
 
-    config, bundle = _prepared_bundle("chinese", overrides)
     scores = run_figure2_mixing(config, bundle=bundle, max_points=250)
-    return {"text": format_mixing_scores(
-                scores, title="Figure 2 — t-SNE domain-mixing scores"),
-            "results": _json_round_trip(scores)}
+    return format_mixing_scores(
+        scores, title="Figure 2 — t-SNE domain-mixing scores"), scores
 
 
-def _run_fig3(overrides: dict) -> dict:
+def _run_fig3(config, bundle):
     from repro.analysis import case_study_summary
     from repro.experiments.runner import run_figure3_case_study
     from repro.experiments.tables import format_case_study
 
-    config, bundle = _prepared_bundle("chinese", overrides)
     rows = run_figure3_case_study(config, bundle=bundle)
     summary = case_study_summary(rows)
     text = format_case_study(rows, title="Figure 3 — case study (ambiguous real news)")
@@ -314,18 +298,26 @@ def _run_fig3(overrides: dict) -> dict:
     for model, stats in summary.items():
         text += (f"    {model.ljust(10)} accuracy={stats['accuracy']:.2f} "
                  f"confidence={stats['mean_confidence_true_label']:.3f}\n")
-    return {"text": text,
-            "results": _json_round_trip({"rows": [row.as_dict() for row in rows],
-                                         "summary": summary})}
+    return text, {"rows": [row.as_dict() for row in rows], "summary": summary}
 
 
 @dataclass(frozen=True)
 class TableCell:
-    """One regenerable paper table: its runner and its results-file stem."""
+    """One regenerable paper table: its runner and its results-file stem.
+
+    ``runner(config, bundle)`` returns ``(text, results)``: the table as
+    committed under ``benchmarks/results`` (less the final newline) and the
+    Python objects it was built from.  ``dataset`` names the corpus a
+    training table's bundle is prepared on; tables that train nothing have
+    none and get ``(None, None)``.  The sweep's ``table`` cell and the
+    ``benchmarks/test_<table>.py`` checks both call the runner, so the two
+    cannot drift apart.
+    """
 
     name: str
     output: str                      # benchmarks/results/<output>.txt
-    runner: Callable[[dict], dict]
+    runner: Callable[[object, object], tuple]
+    dataset: str | None = None
 
 
 #: every committed ``benchmarks/results`` table, regenerable as a sweep cell
@@ -333,15 +325,15 @@ TABLE_CELLS: dict[str, TableCell] = {
     cell.name: cell for cell in (
         TableCell("table1", "table1_dataset_stats", _run_table1),
         TableCell("table2", "table2_functional_matrix", _run_table2),
-        TableCell("table3", "table3_domain_bias", _run_table3),
+        TableCell("table3", "table3_domain_bias", _run_table3, "chinese"),
         TableCell("table4", "table4_chinese_stats", _run_table4),
         TableCell("table5", "table5_english_stats", _run_table5),
-        TableCell("table6", "table6_chinese_comparison", _run_table6),
-        TableCell("table7", "table7_english_comparison", _run_table7),
-        TableCell("table8", "table8_ablation", _run_table8),
-        TableCell("table9", "table9_dat_vs_datie", _run_table9),
-        TableCell("fig2", "fig2_tsne_mixing", _run_fig2),
-        TableCell("fig3", "fig3_case_study", _run_fig3),
+        TableCell("table6", "table6_chinese_comparison", _run_table6, "chinese"),
+        TableCell("table7", "table7_english_comparison", _run_table7, "english"),
+        TableCell("table8", "table8_ablation", _run_table8, "chinese"),
+        TableCell("table9", "table9_dat_vs_datie", _run_table9, "chinese"),
+        TableCell("fig2", "fig2_tsne_mixing", _run_fig2, "chinese"),
+        TableCell("fig3", "fig3_case_study", _run_fig3, "chinese"),
     )
 }
 
@@ -354,10 +346,12 @@ def table_cell(spec: CellSpec) -> dict:
         raise ValueError(f"unknown table '{name}'; available tables: "
                          f"{sorted(TABLE_CELLS)}")
     entry = TABLE_CELLS[name]
-    payload = entry.runner(dict(spec.params.get("config") or {}))
-    payload["table"] = name
-    payload["output"] = entry.output
-    return payload
+    config = bundle = None
+    if entry.dataset is not None:
+        config, bundle = _prepared_bundle(entry.dataset, spec.params.get("config"))
+    text, results = entry.runner(config, bundle)
+    return {"text": text, "results": _json_round_trip(results),
+            "table": name, "output": entry.output}
 
 
 @register_cell_kind("baseline")

@@ -54,15 +54,14 @@ class DataBundle:
     dataset: object
     splits: DatasetSplits
     vocab: Vocabulary
-    encoder: FrozenPretrainedEncoder
+    #: the backend serving the ``plm`` channel, selected by
+    #: ``ExperimentConfig.encoder_backend`` (``local`` is the frozen encoder)
+    encoder_backend: EncoderBackend
     train_loader: DataLoader
     val_loader: DataLoader
     test_loader: DataLoader
-    #: the backend serving the ``plm`` channel (selected by
-    #: ``ExperimentConfig.encoder_backend``; wraps ``encoder``)
-    encoder_backend: EncoderBackend | None = None
     #: the resolved FeatureChannel objects the loaders precomputed with —
-    #: what :meth:`export_pipeline` persists, so custom channels round-trip
+    #: what :func:`export_pipeline` persists, so custom channels round-trip
     channels: list = field(default_factory=list)
 
     @property
@@ -91,19 +90,6 @@ class DataBundle:
         )
         return base.with_overrides(**overrides) if overrides else base
 
-    def export_pipeline(self, model: FakeNewsDetector, path,
-                        model_name: str | None = None, metadata: dict | None = None) -> str:
-        """Bundle ``model`` (trained against this bundle) into a servable artifact.
-
-        Every piece of serving state — vocabulary, tokenizer, frozen encoder,
-        sequence length, domain names — comes from the bundle the model was
-        trained on, so any student returned by :func:`train_baseline`,
-        :func:`train_unbiased` or :func:`train_dtdbd_student` is one call away
-        from ``repro.serve.load_pipeline``-able.
-        """
-        return export_pipeline(model, bundle=self, path=path,
-                               model_name=model_name, metadata=metadata)
-
 
 def prepare_data(config: ExperimentConfig) -> DataBundle:
     """Generate the corpus, split it, build the vocabulary and the loaders."""
@@ -131,12 +117,10 @@ def prepare_data(config: ExperimentConfig) -> DataBundle:
                                       seed=config.seed + 1)
     # The backend is the single ``plm`` service every consumer shares: the
     # three loaders, the channel objects and (via export_pipeline) the
-    # serving artifact.  "local" is bit-identical to calling the encoder
-    # directly; "cached" is bit-identical too (pinned by
-    # tests/encoders/test_backends.py), just with different operational
-    # behaviour.
-    backend = wrap_encoder(config.encoder_backend, encoder,
-                           **config.encoder_backend_options)
+    # serving artifact.  "local" is the encoder itself; "cached" is
+    # bit-identical to it (pinned by tests/encoders/test_backends.py), just
+    # with different operational behaviour.
+    backend = wrap_encoder(config.encoder_backend, encoder)
     channels = stock_channels(backend)
 
     def loader(split, shuffle):
@@ -149,11 +133,10 @@ def prepare_data(config: ExperimentConfig) -> DataBundle:
         dataset=dataset,
         splits=splits,
         vocab=vocab,
-        encoder=encoder,
+        encoder_backend=backend,
         train_loader=loader(splits.train, True),
         val_loader=loader(splits.val, False),
         test_loader=loader(splits.test, False),
-        encoder_backend=backend,
         channels=channels,
     )
 
@@ -178,7 +161,7 @@ def export_pipeline(model: FakeNewsDetector, bundle: DataBundle, path,
     return serve_export_pipeline(
         model, path,
         vocab=bundle.vocab,
-        encoder=bundle.encoder_backend or bundle.encoder,
+        encoder=bundle.encoder_backend,
         tokenizer=bundle.train_loader.tokenizer,
         max_length=bundle.config.max_length,
         domain_names=bundle.dataset.domain_names,

@@ -34,9 +34,9 @@ servable artifact and answers "is this news item fake?" from raw text:
 
 Quickstart (see ``examples/serve_quickstart.py`` for the full tour)::
 
-    from repro.serve import Pipeline, load_pipeline
+    from repro.serve import export_pipeline, load_pipeline
 
-    Pipeline.from_training(model, vocab, encoder).save("artifacts/detector")
+    export_pipeline(model, "artifacts/detector", vocab=vocab, encoder=encoder)
     ...
     predictor = load_pipeline("artifacts/detector").predictor()
     [pred] = predictor.predict(["breaking fake_sig_2 dom3_topic17 ..."])

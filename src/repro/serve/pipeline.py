@@ -59,7 +59,6 @@ from repro.data.vocab import Vocabulary
 from repro.encoders.backends import (
     EncoderBackend,
     EncoderBackendError,
-    as_backend,
     backend_from_spec,
 )
 from repro.encoders.channels import (
@@ -70,7 +69,6 @@ from repro.encoders.channels import (
     required_channels,
     stock_channels,
 )
-from repro.encoders.pretrained import FrozenPretrainedEncoder
 from repro.models.base import FakeNewsDetector, ModelConfig
 from repro.models.registry import build_model, registry_name
 from repro.nn.serialization import checkpoint_bytes, restore_checkpoint
@@ -123,8 +121,8 @@ class Pipeline:
     """A servable bundle: model, vocabulary, tokenizer, encoder, channels, dtype.
 
     Build one with :meth:`from_training` (deriving the registry name and the
-    dtype from the model itself), persist it with :meth:`save` and restore it
-    with :func:`load_pipeline`.  :meth:`predictor` attaches the raw-text
+    dtype from the model itself), persist it with :func:`save_pipeline` and
+    restore it with :func:`load_pipeline`.  :meth:`predictor` attaches the raw-text
     inference front-end.  The channels must include every one the model
     lists in ``required_features``; serving computes exactly those
     (:attr:`served_channels`).  Every ``plm`` channel must be bound to
@@ -138,10 +136,8 @@ class Pipeline:
     model_config: ModelConfig
     vocab: Vocabulary
     tokenizer: WhitespaceTokenizer
-    #: Accepts a raw :class:`FrozenPretrainedEncoder` (wrapped into the
-    #: default ``local`` backend) or any :class:`EncoderBackend`; after
-    #: ``__post_init__`` this is always a backend.
-    encoder: "FrozenPretrainedEncoder | EncoderBackend"
+    #: Any :class:`EncoderBackend`; the frozen encoder is the ``local`` one.
+    encoder: EncoderBackend
     max_length: int
     domain_names: list[str]
     dtype: str
@@ -160,10 +156,9 @@ class Pipeline:
     source_digests: ArtifactDigests | None = None
 
     def __post_init__(self):
-        try:
-            self.encoder = as_backend(self.encoder)
-        except EncoderBackendError as error:
-            raise PipelineError(str(error)) from error
+        if not isinstance(self.encoder, EncoderBackend):
+            raise PipelineError(
+                f"expected an EncoderBackend, got {type(self.encoder).__name__}")
         if self.encoder.vocab_size != len(self.vocab):
             raise PipelineError(
                 f"frozen encoder was built for a vocabulary of {self.encoder.vocab_size} "
@@ -212,7 +207,7 @@ class Pipeline:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_training(cls, model: FakeNewsDetector, vocab: Vocabulary,
-                      encoder: "FrozenPretrainedEncoder | EncoderBackend", *,
+                      encoder: EncoderBackend, *,
                       tokenizer: WhitespaceTokenizer | None = None,
                       max_length: int = 24,
                       domain_names: list[str] | None = None,
@@ -228,9 +223,7 @@ class Pipeline:
         ``max_length`` must be the length the training loaders encoded with —
         serving pads to it, so a mismatch silently shifts probabilities.
 
-        ``encoder`` may be a bare :class:`FrozenPretrainedEncoder` (wrapped
-        into the default ``local`` backend) or any :class:`EncoderBackend`.
-        ``channels`` passes the :class:`FeatureChannel` objects the model
+        ``encoder`` is any :class:`EncoderBackend`.  ``channels`` passes the :class:`FeatureChannel` objects the model
         trained against (e.g. ``DataBundle.channels``), so registered
         *custom* channels round-trip through the artifact.
         """
@@ -279,13 +272,6 @@ class Pipeline:
         """
         return _fingerprint(self.manifest(),
                             sha256_bytes(checkpoint_bytes(self.model)))
-
-    def save(self, path: str | os.PathLike) -> str:
-        return save_pipeline(self, path)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "Pipeline":
-        return load_pipeline(path)
 
     def predictor(self, **kwargs) -> "Predictor":
         """A :class:`repro.serve.Predictor` bound to this pipeline."""
@@ -439,7 +425,7 @@ def verify_pipeline(path: str | os.PathLike) -> dict[str, str]:
 
 def export_pipeline(model: FakeNewsDetector, path: str | os.PathLike, *,
                     vocab: Vocabulary,
-                    encoder: "FrozenPretrainedEncoder | EncoderBackend",
+                    encoder: EncoderBackend,
                     tokenizer: WhitespaceTokenizer | None = None,
                     max_length: int = 24,
                     domain_names: list[str] | None = None,
@@ -448,9 +434,8 @@ def export_pipeline(model: FakeNewsDetector, path: str | os.PathLike, *,
                     metadata: dict | None = None) -> str:
     """One-call export: bundle a trained model and write the artifact.
 
-    This is the primitive behind ``Trainer.export_pipeline`` /
-    ``DTDBDTrainer.export_pipeline`` and
-    :func:`repro.experiments.export_pipeline`; returns the artifact path.
+    :func:`repro.experiments.export_pipeline` fills every argument from the
+    ``DataBundle`` the model trained on; returns the artifact path.
     """
     pipeline = Pipeline.from_training(
         model, vocab, encoder, tokenizer=tokenizer, max_length=max_length,

@@ -81,6 +81,43 @@ class Prediction:
         }
 
 
+def text_problem(text, max_text_chars: int) -> str | None:
+    """Why ``text`` is not servable, or ``None`` when it is."""
+    if not isinstance(text, str):
+        return f"text must be a string, got {type(text).__name__}"
+    if not text.strip():
+        return "text is empty"
+    if len(text) > max_text_chars:
+        return (f"text has {len(text)} characters, over the "
+                f"{max_text_chars}-character limit")
+    return None
+
+
+def resolve_domain(domain, domain_names: Sequence[str], num_domains: int,
+                   default: int) -> int:
+    """The domain index a request names; the one admission rule of serving.
+
+    ``None`` means ``default``; a ``str`` is a domain name; an index is an
+    ``int`` or ``numpy.integer`` but not a ``bool``.  Anything else raises
+    the ``KeyError`` an unknown domain raises, so every front door rejects it
+    as a bad request.
+    """
+    if domain is None:
+        return default
+    if isinstance(domain, str):
+        if domain not in domain_names:
+            raise KeyError(f"unknown domain '{domain}'; pipeline domains: "
+                           f"{list(domain_names)}")
+        return domain_names.index(domain)
+    if isinstance(domain, bool) or not isinstance(domain, (int, np.integer)):
+        raise KeyError(f"domain must be a name or an integer index, got "
+                       f"{domain!r}")
+    if not 0 <= domain < num_domains:
+        raise KeyError(f"domain index {domain} outside the model's "
+                       f"{num_domains} domains")
+    return int(domain)
+
+
 def _check_bucket_size(bucket_size: int | None, pipeline: Pipeline) -> None:
     """Refuse a ``bucket_size`` that short requests could not be scored with."""
     if bucket_size is None:
@@ -170,22 +207,9 @@ class Predictor:
     # Encoding (training-parity path)                                      #
     # ------------------------------------------------------------------ #
     def _domain_index(self, domain: int | str | None) -> int:
-        if domain is None:
-            return self.default_domain
-        if isinstance(domain, str):
-            try:
-                index = self.pipeline.domain_names.index(domain)
-            except ValueError:
-                raise KeyError(
-                    f"unknown domain '{domain}'; pipeline domains: "
-                    f"{self.pipeline.domain_names}") from None
-        else:
-            index = int(domain)
-        if not 0 <= index < self.pipeline.model_config.num_domains:
-            raise KeyError(
-                f"domain index {index} outside the model's "
-                f"{self.pipeline.model_config.num_domains} domains")
-        return index
+        return resolve_domain(domain, self.pipeline.domain_names,
+                              self.pipeline.model_config.num_domains,
+                              self.default_domain)
 
     def _resolve_domains(self, domains, count: int) -> np.ndarray:
         if domains is None:
@@ -287,14 +311,7 @@ class Predictor:
         :class:`MicroBatcher.submit` apply them up front so malformed
         requests fail in their own call with a readable reason.
         """
-        if not isinstance(text, str):
-            return f"text must be a string, got {type(text).__name__}"
-        if not text.strip():
-            return "text is empty"
-        if len(text) > self.max_text_chars:
-            return (f"text has {len(text)} characters, over the "
-                    f"{self.max_text_chars}-character limit")
-        return None
+        return text_problem(text, self.max_text_chars)
 
     def _safe_domain(self, domain) -> tuple[int, str | None]:
         """Resolve one request's domain; returns ``(index, error)``."""

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import numbers
 import os
 import threading
 import time
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from repro.reliability.pool import SupervisedPool, check_max_restarts
 from repro.serve.microbatch import flush_decision
 from repro.serve.pipeline import read_manifest, verify_pipeline
-from repro.serve.predictor import Prediction
+from repro.serve.predictor import Prediction, resolve_domain, text_problem
 from repro.serve.stats import ServeStats
 from repro.serve.worker import BatchJob, worker_setup
 
@@ -319,32 +320,6 @@ class Server:
     # ------------------------------------------------------------------ #
     # Submission                                                           #
     # ------------------------------------------------------------------ #
-    def _validate_text(self, text) -> str | None:
-        if not isinstance(text, str):
-            return f"text must be a string, got {type(text).__name__}"
-        if not text.strip():
-            return "text is empty"
-        if len(text) > self.config.max_text_chars:
-            return (f"text has {len(text)} characters, over the "
-                    f"{self.config.max_text_chars}-character limit")
-        return None
-
-    def _domain_index(self, domain) -> int:
-        if domain is None:
-            return self.default_domain
-        if isinstance(domain, str):
-            try:
-                index = self.domain_names.index(domain)
-            except ValueError:
-                raise KeyError(f"unknown domain '{domain}'; pipeline domains: "
-                               f"{self.domain_names}") from None
-        else:
-            index = int(domain)
-        if not 0 <= index < self._num_domains:
-            raise KeyError(f"domain index {index} outside the model's "
-                           f"{self._num_domains} domains")
-        return index
-
     def _domain_name(self, index: int) -> str:
         if 0 <= index < len(self.domain_names):
             return self.domain_names[index]
@@ -370,20 +345,24 @@ class Server:
           (counted as ``shed``) — callers retry with backoff or downshift.
         """
         self._check_serving()
-        problem = self._validate_text(text)
+        problem = text_problem(text, self.config.max_text_chars)
         if problem is not None:
             self.stats.count("rejected")
             raise ValueError(f"invalid request: {problem}")
         try:
-            domain_index = self._domain_index(domain)
+            domain_index = resolve_domain(domain, self.domain_names,
+                                          self._num_domains, self.default_domain)
         except KeyError:
             self.stats.count("rejected")
             raise
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and (
+                isinstance(deadline_ms, bool) or not isinstance(deadline_ms, numbers.Real)
+                or not deadline_ms > 0):
             self.stats.count("rejected")
-            raise ValueError("deadline_ms must be positive")
+            raise ValueError(
+                f"deadline_ms must be a positive number, got {deadline_ms!r}")
         deadline = (time.monotonic() + deadline_ms / 1e3
                     if deadline_ms is not None else None)
         with self._cond:

@@ -13,7 +13,7 @@ from repro.data import (
     make_weibo21_like,
     stratified_split,
 )
-from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.encoders import FrozenPretrainedEncoder, stock_channels
 from repro.experiments import default_chinese_config, default_english_config
 from repro.models import ModelConfig
 
@@ -62,7 +62,7 @@ def tiny_encoder(tiny_vocab):
 @pytest.fixture(scope="session")
 def tiny_channels(tiny_encoder):
     """The stock ``plm`` / ``style`` / ``emotion`` channels over ``tiny_encoder``."""
-    return stock_channels(LocalBackend(tiny_encoder))
+    return stock_channels(tiny_encoder)
 
 
 def _loader(split, vocab, channels, shuffle):

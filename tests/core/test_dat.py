@@ -6,7 +6,7 @@ import pytest
 from repro.core import DATConfig, DomainAdversarialModel, train_dat_student, train_unbiased_teacher
 from repro.core.trainer import evaluate_model
 from repro.data import DataLoader, make_weibo21_like, stratified_split
-from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.encoders import FrozenPretrainedEncoder, stock_channels
 from repro.models import ModelConfig, build_model
 from repro.nn import Adam, GradientClipper
 from repro.tensor import default_dtype, functional as F
@@ -123,8 +123,7 @@ class TestTrainerParity:
         dataset = make_weibo21_like(scale=0.04, seed=7)
         splits = stratified_split(dataset, train_fraction=0.6, val_fraction=0.1, seed=0)
         vocab = splits.train.build_vocabulary()
-        channels = stock_channels(LocalBackend(
-            FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3)))
+        channels = stock_channels(FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3))
         loader = DataLoader(splits.train, vocab, max_length=16, batch_size=16,
                             shuffle=True, seed=0, channels=channels)
         config = ModelConfig(plm_dim=16, num_domains=dataset.num_domains,

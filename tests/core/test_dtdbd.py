@@ -13,7 +13,7 @@ from repro.core import (
     train_unbiased_teacher,
 )
 from repro.data import DataLoader, make_weibo21_like, stratified_split
-from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.encoders import FrozenPretrainedEncoder, stock_channels
 from repro.models import ModelConfig, build_model
 from repro.tensor import default_dtype
 from repro.utils import set_global_seed
@@ -176,7 +176,7 @@ class TestTeacherCacheEquivalence:
                                       val_fraction=0.1, seed=0)
             vocab = splits.train.build_vocabulary()
             encoder = FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3)
-            channels = stock_channels(LocalBackend(encoder))
+            channels = stock_channels(encoder)
             train_loader = DataLoader(splits.train, vocab, max_length=16,
                                       batch_size=16, shuffle=True, seed=0,
                                       channels=channels)

@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.core.trainer import evaluate_model
 from repro.data import DataLoader, make_weibo21_like, stratified_split
-from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.encoders import FrozenPretrainedEncoder, stock_channels
 from repro.models import ModelConfig, build_model
 from repro.nn import Adam, GradientClipper
 from repro.reliability import FaultPlan, inject
@@ -40,7 +40,7 @@ CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
 
 #: What a training stage inherits from ``Trainer`` and must not redefine.
 LOOP_METHODS = ("train_epoch", "fit", "snapshot", "resume", "_maybe_interrupt",
-                "export_pipeline", "_training_step")
+                "_training_step")
 
 
 def _build(kind: str, model_config, epochs: int = 2, **overrides):
@@ -231,8 +231,7 @@ def _parity_world():
     dataset = make_weibo21_like(scale=0.04, seed=7)
     splits = stratified_split(dataset, train_fraction=0.6, val_fraction=0.1, seed=0)
     vocab = splits.train.build_vocabulary()
-    channels = stock_channels(LocalBackend(
-        FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3)))
+    channels = stock_channels(FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3))
     train = DataLoader(splits.train, vocab, max_length=16, batch_size=16,
                        shuffle=True, seed=0, channels=channels)
     val = DataLoader(splits.val, vocab, max_length=16, batch_size=16,

@@ -1,7 +1,7 @@
 """Encoder-backend registry: every backend must be bit-identical to local.
 
-The contract the serving artifact relies on: ``local`` wraps the frozen
-encoder without touching its math, ``cached`` memoises exact windows (hits
+The contract the serving artifact relies on: ``local`` is the frozen
+encoder itself, ``cached`` memoises exact windows (hits
 are bit-exact by construction), and every backend round-trips through its
 JSON spec via ``backend_from_spec``.
 """
@@ -15,8 +15,6 @@ from repro.encoders.backends import (
     CachedBackend,
     EncoderBackend,
     EncoderBackendError,
-    LocalBackend,
-    as_backend,
     available_encoder_backends,
     backend_from_spec,
     register_encoder_backend,
@@ -39,43 +37,61 @@ def window():
     return token_ids, mask
 
 
-class TestLocalBackend:
-    def test_bit_identical_to_raw_encoder(self, encoder, window):
+#: The ``local`` spec as artifacts record it (the ``encoder`` fixture's).
+LOCAL_SPEC = {"kind": "local",
+              "encoder": {"vocab_size": 60, "output_dim": 12, "hidden_dim": 64,
+                          "context_window": 0, "positional_scale": 0.2,
+                          "seed": 4}}
+
+
+class TestLocalKind:
+    """The frozen encoder is itself the ``local`` backend."""
+
+    def test_spec_is_the_pinned_literal(self, encoder, window):
+        """Artifacts exported by earlier builds name this spec; it must keep
+        rebuilding a bit-identical encoder."""
         token_ids, mask = window
-        backend = LocalBackend(encoder)
-        np.testing.assert_array_equal(backend.encode(token_ids, mask),
+        assert encoder.to_spec() == LOCAL_SPEC
+        rebuilt = backend_from_spec(LOCAL_SPEC)
+        assert type(rebuilt) is FrozenPretrainedEncoder
+        np.testing.assert_array_equal(rebuilt.encode(token_ids, mask),
                                       encoder.encode(token_ids, mask))
-        np.testing.assert_array_equal(backend.encode_pooled(token_ids, mask),
-                                      encoder.encode_pooled(token_ids, mask))
-        assert backend.vocab_size == encoder.vocab_size
-        assert backend.output_dim == encoder.output_dim
 
     def test_spec_round_trip(self, encoder, window):
         token_ids, mask = window
-        backend = LocalBackend(encoder)
-        spec = backend.to_spec()
+        spec = encoder.to_spec()
         assert spec["kind"] == "local"
         rebuilt = backend_from_spec(spec)
-        assert isinstance(rebuilt, LocalBackend)
-        assert rebuilt.fingerprint() == backend.fingerprint()
+        assert isinstance(rebuilt, FrozenPretrainedEncoder)
+        assert rebuilt.fingerprint() == encoder.fingerprint()
         np.testing.assert_array_equal(rebuilt.encode(token_ids, mask),
-                                      backend.encode(token_ids, mask))
+                                      encoder.encode(token_ids, mask))
 
     def test_state_reports_kind_and_fingerprint(self, encoder):
-        backend = LocalBackend(encoder)
-        state = backend.state()
+        state = encoder.state()
         assert state["kind"] == "local"
-        assert state["fingerprint"] == spec_fingerprint(backend.to_spec())
+        assert state["fingerprint"] == spec_fingerprint(encoder.to_spec())
 
     def test_wrap_encoder_construction_path(self, encoder):
-        assert isinstance(wrap_encoder("local", encoder), LocalBackend)
+        assert wrap_encoder("local", encoder) is encoder
+        assert isinstance(encoder, EncoderBackend)
 
-    def test_as_backend_normaliser(self, encoder):
-        backend = LocalBackend(encoder)
-        assert as_backend(backend) is backend
-        assert isinstance(as_backend(encoder), LocalBackend)
-        with pytest.raises(EncoderBackendError, match="EncoderBackend"):
-            as_backend(object())
+    def test_abstract_properties_still_enforced(self):
+        class NoDims(EncoderBackend):
+            kind = "unit_no_dims"
+
+            def encode(self, token_ids, mask=None):
+                return token_ids
+
+            def to_spec(self):
+                return {"kind": self.kind}
+
+            @classmethod
+            def from_spec(cls, spec):
+                return cls()
+
+        with pytest.raises(TypeError, match="vocab_size"):
+            NoDims()
 
 
 class TestCachedBackend:
@@ -175,7 +191,7 @@ class TestRegistry:
             wrap_encoder("remote", encoder)
         with pytest.raises(EncoderBackendError,
                            match="unknown encoder backend kind 'remote'"):
-            backend_from_spec({"kind": "remote", "encoder": encoder.to_spec()})
+            backend_from_spec({"kind": "remote", "encoder": LOCAL_SPEC["encoder"]})
 
     def test_unknown_kind_names_the_register_call(self):
         with pytest.raises(EncoderBackendError, match="register_encoder_backend"):
@@ -191,9 +207,9 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_encoder_backend("local", LocalBackend)
+            register_encoder_backend("local", FrozenPretrainedEncoder)
         with pytest.raises(ValueError, match="non-empty"):
-            register_encoder_backend("", LocalBackend)
+            register_encoder_backend("", FrozenPretrainedEncoder)
 
     def test_custom_backend_round_trips(self, encoder, window):
         token_ids, mask = window
@@ -226,7 +242,7 @@ class TestRegistry:
 
         register_encoder_backend("unit_negating", NegatingBackend)
         try:
-            backend = NegatingBackend(LocalBackend(encoder))
+            backend = NegatingBackend(encoder)
             rebuilt = backend_from_spec(backend.to_spec())
             np.testing.assert_array_equal(rebuilt.encode(token_ids, mask),
                                           -encoder.encode(token_ids, mask))
@@ -235,9 +251,9 @@ class TestRegistry:
             ENCODER_BACKENDS.pop("unit_negating", None)
 
     def test_fingerprint_is_spec_content_hash(self, encoder):
-        backend = LocalBackend(encoder)
+        backend = encoder
         assert backend.fingerprint() == spec_fingerprint(backend.to_spec())
-        other = LocalBackend(FrozenPretrainedEncoder(60, output_dim=12, seed=5))
+        other = FrozenPretrainedEncoder(60, output_dim=12, seed=5)
         assert other.fingerprint() != backend.fingerprint()
 
 

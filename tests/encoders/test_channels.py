@@ -17,7 +17,6 @@ from repro.encoders import (
     FeatureChannel,
     FeatureChannelError,
     FrozenPretrainedEncoder,
-    LocalBackend,
     PLMChannel,
     ServeRequest,
     StyleChannel,
@@ -33,8 +32,7 @@ from repro.encoders.features import emotion_features_batch, style_features_batch
 
 @pytest.fixture(scope="module")
 def backend(tiny_vocab):
-    return LocalBackend(FrozenPretrainedEncoder(len(tiny_vocab), output_dim=16,
-                                                seed=3))
+    return FrozenPretrainedEncoder(len(tiny_vocab), output_dim=16, seed=3)
 
 
 class TestStockChannels:

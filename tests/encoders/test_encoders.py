@@ -43,13 +43,6 @@ class TestFrozenPretrainedEncoder:
         with pytest.raises(ValueError):
             encoder.encode(np.array([1, 2, 3]))  # wrong rank
 
-    def test_pooled_encoding(self):
-        encoder = FrozenPretrainedEncoder(30, output_dim=8, seed=0)
-        ids = np.array([[1, 2, 0, 0], [3, 0, 0, 0]])
-        pooled = encoder.encode_pooled(ids)
-        assert pooled.shape == (2, 8)
-        assert np.isfinite(pooled).all()
-
     def test_context_window_mixes_neighbours(self):
         plain = FrozenPretrainedEncoder(30, output_dim=8, context_window=0, seed=0)
         contextual = FrozenPretrainedEncoder(30, output_dim=8, context_window=2, seed=0)

@@ -138,10 +138,3 @@ class TestExportPipeline:
             [item.text for item in items],
             domains=[item.domain for item in items])
         np.testing.assert_array_equal(observed, expected)
-
-    def test_databundle_method_matches_function(self, bundle, tmp_path):
-        from repro.serve import load_pipeline
-
-        model, _ = train_baseline(bundle.config.student_name, bundle, epochs=1)
-        path = bundle.export_pipeline(model, tmp_path / "via_method")
-        assert load_pipeline(path).model_name == bundle.config.student_name

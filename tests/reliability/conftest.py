@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.data import DataLoader, MultiDomainNewsDataset, make_weibo21_like, stratified_split
-from repro.encoders import FrozenPretrainedEncoder, LocalBackend, stock_channels
+from repro.encoders import FrozenPretrainedEncoder, stock_channels
 from repro.models import ModelConfig, build_model
 from repro.reliability import active_plan
 from repro.serve import Pipeline, save_pipeline
@@ -65,7 +65,7 @@ def make_world():
         splits = stratified_split(dataset, train_fraction=0.6, val_fraction=0.1, seed=0)
         vocab = splits.train.build_vocabulary()
         encoder = FrozenPretrainedEncoder(len(vocab), output_dim=16, seed=3)
-        channels = stock_channels(LocalBackend(encoder))
+        channels = stock_channels(encoder)
         config = ModelConfig(plm_dim=16, num_domains=dataset.num_domains,
                              cnn_channels=8, kernel_sizes=(1, 2, 3), rnn_hidden=8,
                              hidden_dim=16, mlp_hidden=(16,), num_experts=3,

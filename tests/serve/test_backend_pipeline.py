@@ -28,7 +28,6 @@ from repro.encoders import (
     CachedBackend,
     EmotionChannel,
     FrozenPretrainedEncoder,
-    LocalBackend,
     PLMChannel,
     StyleChannel,
     spec_fingerprint,
@@ -95,7 +94,7 @@ def _stock_pipeline(model_config, tiny_vocab, encoder, tiny_dataset, dtype,
                                   domain_names=tiny_dataset.domain_names)
 
 
-class FailingBackend(LocalBackend):
+class FailingBackend(FrozenPretrainedEncoder):
     """A backend that is down: every encode raises and is counted."""
 
     calls = 0
@@ -113,7 +112,13 @@ class TestManifestV2:
                                    tiny_dataset, "float64")
         manifest = _read_manifest(save_pipeline(pipeline, tmp_path / "artifact"))
         assert set(manifest) == MANIFEST_KEYS
-        assert manifest["encoder_backend"] == LocalBackend(tiny_encoder).to_spec()
+        # The spec earlier builds wrote, byte for byte:
+        # artifacts exported by earlier builds keep loading.
+        assert manifest["encoder_backend"] == {
+            "kind": "local",
+            "encoder": {"vocab_size": len(tiny_vocab), "output_dim": 16,
+                        "hidden_dim": 64, "context_window": 0,
+                        "positional_scale": 0.2, "seed": 3}}
         assert manifest["feature_channels"] == [
             {"kind": "plm"}, {"kind": "style"}, {"kind": "emotion"}]
 
@@ -122,7 +127,7 @@ class TestManifestV2:
                                                        tiny_dataset):
         """Passing the stock channel objects (the training path) writes the
         same manifest as letting the pipeline default them."""
-        backend = LocalBackend(tiny_encoder)
+        backend = tiny_encoder
         with default_dtype("float64"):
             model = build_model("textcnn_s", model_config)
         explicit = Pipeline.from_training(
@@ -136,7 +141,7 @@ class TestManifestV2:
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-class TestNonLocalBackendRoundTrip:
+class TestNonLocalKindRoundTrip:
     def test_cached_backend_round_trips(self, dtype, model_config, tiny_vocab,
                                         tiny_encoder, tiny_dataset, probe_texts,
                                         tmp_path):
@@ -167,7 +172,7 @@ class TestNonLocalBackendRoundTrip:
 class TestCustomChannelRoundTrip:
     def _custom_pipeline(self, model_config, tiny_vocab, tiny_encoder,
                          tiny_dataset, dtype):
-        backend = LocalBackend(tiny_encoder)
+        backend = tiny_encoder
         with default_dtype(dtype):
             model = build_model(helper.MODEL_NAME, model_config)
         return Pipeline.from_training(
@@ -259,7 +264,7 @@ class TestFailureModes:
         path = save_pipeline(pipeline, tmp_path / "artifact")
         manifest = _read_manifest(path)
         manifest["encoder_backend"] = {
-            "kind": "remote", "encoder": tiny_encoder.to_spec(),
+            "kind": "remote", "encoder": tiny_encoder.to_spec()["encoder"],
             "max_rows_per_request": 3, "coalesce": True}
         _rewrite_manifest(path, manifest)
 
@@ -273,7 +278,7 @@ class TestFailureModes:
                                    tiny_dataset, "float64")
         with default_dtype("float64"):
             model = build_model(helper.MODEL_NAME, model_config)
-        backend = LocalBackend(tiny_encoder)
+        backend = tiny_encoder
         custom = Pipeline.from_training(
             model, tiny_vocab, backend, max_length=16,
             domain_names=tiny_dataset.domain_names,
@@ -289,14 +294,21 @@ class TestFailureModes:
         finally:
             FEATURE_CHANNELS[helper.CHANNEL_KIND] = saved
 
+    def test_encoder_that_is_not_a_backend_refused(
+            self, model_config, tiny_vocab, tiny_dataset):
+        with default_dtype("float64"):
+            model = build_model("textcnn_s", model_config)
+        with pytest.raises(PipelineError, match="expected an EncoderBackend"):
+            Pipeline.from_training(model, tiny_vocab, object(), max_length=16,
+                                   domain_names=tiny_dataset.domain_names)
+
     def test_plm_channel_on_another_backend_refused(
             self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
         """Serving computes plm with the pipeline's encoder, so a plm channel
         bound to a different backend would score the model on the wrong
         features; the pipeline refuses it at construction."""
-        other = LocalBackend(FrozenPretrainedEncoder(len(tiny_vocab),
-                                                     output_dim=16, seed=99))
-        assert other.fingerprint() != LocalBackend(tiny_encoder).fingerprint()
+        other = FrozenPretrainedEncoder(len(tiny_vocab), output_dim=16, seed=99)
+        assert other.fingerprint() != tiny_encoder.fingerprint()
         with default_dtype("float64"):
             model = build_model("textcnn_s", model_config)
         with pytest.raises(PipelineError, match="plm channel is bound"):
@@ -313,7 +325,7 @@ class TestFailureModes:
         pipeline = Pipeline.from_training(
             model, tiny_vocab, tiny_encoder, max_length=16,
             domain_names=tiny_dataset.domain_names,
-            channels=[PLMChannel(LocalBackend(tiny_encoder))])
+            channels=[PLMChannel(tiny_encoder)])
         assert [ch.name for ch in pipeline.channels] == ["plm"]
 
     def test_duplicate_channel_names_refused(
@@ -332,7 +344,7 @@ class TestFailureModes:
             self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
         """An m3fend pipeline without style/emotion would fail on its first
         request; the pipeline refuses it at construction instead."""
-        backend = LocalBackend(tiny_encoder)
+        backend = tiny_encoder
         with default_dtype("float64"):
             model = build_model("m3fend", model_config)
         with pytest.raises(PipelineError, match=(
@@ -390,7 +402,7 @@ class TestBackendHealthReporting:
     def test_backend_error_reaches_predict_after_one_call(
             self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
         """The predictor calls the backend directly: no retry, no breaker."""
-        backend = FailingBackend(tiny_encoder)
+        backend = FailingBackend.from_spec(tiny_encoder.to_spec())
         pipeline = _stock_pipeline(model_config, tiny_vocab, backend,
                                    tiny_dataset, "float64")
         with pytest.raises(OSError, match="backend down"):
@@ -412,9 +424,9 @@ class TestBackendHealthReporting:
 
     def test_failing_backend_degrades_the_inference_check(
             self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
-        pipeline = _stock_pipeline(model_config, tiny_vocab,
-                                   FailingBackend(tiny_encoder), tiny_dataset,
-                                   "float64")
+        backend = FailingBackend.from_spec(tiny_encoder.to_spec())
+        pipeline = _stock_pipeline(model_config, tiny_vocab, backend,
+                                   tiny_dataset, "float64")
         health = pipeline.predictor().health()
         assert health["status"] == "degraded"
         assert health["checks"] == {"inference": "OSError: backend down"}

@@ -33,6 +33,7 @@ from repro.serve import (
     WEIGHTS_FILE,
     Pipeline,
     PipelineError,
+    export_pipeline,
     load_pipeline,
     save_pipeline,
 )
@@ -156,9 +157,9 @@ def test_dtdbd_student_round_trips(dtype, model_config, tiny_vocab, tiny_encoder
         trainer = DTDBDTrainer(student, unbiased, clean,
                                DTDBDConfig(epochs=1, learning_rate=1e-3))
         trainer.fit(train_loader)
-    path = trainer.export_pipeline(tmp_path / "student", vocab=tiny_vocab,
-                                   encoder=tiny_encoder, max_length=16,
-                                   domain_names=tiny_dataset.domain_names)
+    path = export_pipeline(trainer.model, tmp_path / "student", vocab=tiny_vocab,
+                           encoder=tiny_encoder, max_length=16,
+                           domain_names=tiny_dataset.domain_names)
     pipeline = load_pipeline(path)
     assert pipeline.model_name == "textcnn_s"
     assert pipeline.dtype == dtype

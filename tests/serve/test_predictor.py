@@ -14,7 +14,6 @@ import pytest
 from repro.data import DataLoader, MultiDomainNewsDataset, NewsItem
 from repro.encoders import (
     EmotionChannel,
-    LocalBackend,
     PLMChannel,
     StyleChannel,
     stock_channels,
@@ -49,7 +48,7 @@ class TestTrainingParity:
         with default_dtype(dtype):
             return DataLoader(dataset, tiny_vocab, max_length=16,
                               batch_size=len(items), shuffle=False,
-                              channels=stock_channels(LocalBackend(tiny_encoder)))
+                              channels=stock_channels(tiny_encoder))
 
     # One model per stock channel combination, so plm, style and emotion
     # all stay under serve/loader parity.
@@ -123,7 +122,7 @@ class TestServedChannels:
     """Serving computes only the channels the model reads."""
 
     def _spied(self, name, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
-        backend = LocalBackend(tiny_encoder)
+        backend = tiny_encoder
         with default_dtype("float64"):
             model = build_model(name, model_config)
         channels = [PLMChannel(backend), SpyStyle(), SpyEmotion()]
@@ -194,6 +193,22 @@ class TestPredict:
             predictor.encode_batch(["x"], domains=[99])
         with pytest.raises(ValueError, match="domains"):
             predictor.encode_batch(["x", "y"], domains=[0])
+
+    @pytest.mark.parametrize("domain", [1.5, 1.9, True, [1], {"x": 1}])
+    def test_malformed_domain_is_unknown(self, domain, model_config, tiny_vocab,
+                                         tiny_encoder, tiny_dataset):
+        """A domain is None, a name or an integer index; anything else is
+        refused like an unknown domain instead of being coerced by int()."""
+        predictor = _pipeline(model_config, tiny_vocab, tiny_encoder,
+                              tiny_dataset, "float64").predictor()
+        with pytest.raises(KeyError, match="name or an integer index"):
+            predictor.predict(["x"], domains=[domain])
+        queue = predictor.microbatch(max_batch=4, max_latency_ms=1e9)
+        with pytest.raises(KeyError, match="name or an integer index"):
+            queue.submit("x", domain)
+        assert queue.stats.rejected == 1
+        [served] = predictor.predict(["x"], domains=[np.int64(1)])
+        assert served.domain == tiny_dataset.domain_names[1]
 
     def test_domain_conditioning_reaches_the_model(self, model_config, tiny_vocab,
                                                    tiny_encoder, tiny_dataset):

@@ -103,12 +103,23 @@ class TestStatusMapping:
         assert status == 400
         assert "empty" in payload["error"]
 
-    def test_unknown_domain_is_400(self, http_stack):
-        _, port = http_stack
+    @pytest.mark.parametrize("request_fields, message", [
+        ({"domain": "astrology"}, "unknown domain"),
+        ({"domain": [1]}, "domain must be a name or an integer index"),
+        ({"domain": 1.5}, "domain must be a name or an integer index"),
+        ({"domain": True}, "domain must be a name or an integer index"),
+        ({"deadline_ms": "50"}, "deadline_ms must be a positive number"),
+    ], ids=["unknown-name", "list", "float", "bool", "string-deadline"])
+    def test_unknown_domain_is_400(self, http_stack, request_fields, message):
+        """A malformed domain or deadline is the client's fault: HTTP 400 and
+        one more ``rejected``, never a 500 or a silent coercion."""
+        server, port = http_stack
+        rejected = server.stats.rejected
         status, payload = _request(port, "POST", "/predict",
-                                   {"text": "fine", "domain": "astrology"})
+                                   {"text": "fine", **request_fields})
         assert status == 400
-        assert "unknown domain" in payload["error"]
+        assert message in payload["error"]
+        assert server.stats.rejected == rejected + 1
 
     def test_malformed_json_is_400(self, http_stack):
         _, port = http_stack
