@@ -24,7 +24,7 @@ from repro.nn import (
     Linear,
     TextCNNEncoder,
 )
-from repro.tensor import Tensor, functional as F, fused, fused_kernels, no_grad
+from repro.tensor import Tensor, default_dtype, functional as F, fused, fused_kernels, no_grad
 
 pytestmark = pytest.mark.perf
 
@@ -239,6 +239,77 @@ def test_textcnn_experts_stacked_vs_per_expert():
     _bench_against("textcnn_experts", train(stacked), train(per_expert), entries,
                    dtype=str(x.dtype))
     _bench_against("textcnn_experts/no_grad", infer(stacked), infer(per_expert),
+                   entries, dtype=str(x.dtype))
+
+    path = record_bench("engine", entries)
+    print(f"recorded {len(entries)} entries -> {path}")
+
+    _assert_no_regression(entries)
+
+
+def _padded_batch(rng, batch=32, seq_len=24, channels=32):
+    """A float32 batch shaped and padded like a ``distill`` training batch:
+    rows are zero past ragged lengths (about a third run the full length), so
+    the conv windows inside the padding tie exactly, as they do in training."""
+    lengths = np.minimum(rng.integers(9, 32, batch), seq_len)
+    x = rng.standard_normal((batch, seq_len, channels))
+    x[np.arange(seq_len)[None, :] >= lengths[:, None]] = 0.0
+    return x.astype(np.float32)
+
+
+def test_textcnn_padded_lanes():
+    """The fused TextCNN node at the shapes the DTDBD hot path runs, in
+    float32 on padded batches: TextCNN-S's encoder and MDFEND's four experts
+    (batch 32, seq 24, 32 input channels, kernels 1/2/3/5 with 24 channels
+    each).  Unlike ``op/textcnn`` and ``op/textcnn_experts``, whose unpadded
+    random inputs never tie, these lanes pay the tie handling real batches
+    pay.  Each lane times one forward plus backward; the ``no_grad`` lane is
+    the frozen clean teacher's recompute."""
+    entries: list[dict] = []
+    kernel_sizes = (1, 2, 3, 5)
+    rng = np.random.default_rng(26)
+    with default_dtype(np.float32):
+        student = TextCNNEncoder(32, kernel_sizes=kernel_sizes, channels=24,
+                                 rng=np.random.default_rng(3))
+        experts = [TextCNNEncoder(32, kernel_sizes=kernel_sizes, channels=24,
+                                  rng=np.random.default_rng(10 + index))
+                   for index in range(4)]
+        x = Tensor(_padded_batch(rng))
+    weights = [[conv.weight for conv in expert.convolutions] for expert in experts]
+    biases = [[conv.bias for conv in expert.convolutions] for expert in experts]
+
+    def run_student():
+        with default_dtype(np.float32):
+            student.zero_grad()
+            out = student(x)
+            (out * out).mean().backward()
+    _bench_pair("textcnn/padded", run_student, entries, repeats=15)
+    entries[-1]["dtype"] = str(x.dtype)
+
+    def stacked():
+        return fused.textcnn(x, weights, biases, kernel_sizes)
+
+    def per_expert():
+        return Tensor.stack([expert(x) for expert in experts], axis=1)
+
+    def train(forward):
+        def step():
+            with default_dtype(np.float32):
+                for expert in experts:
+                    expert.zero_grad()
+                out = forward()
+                (out * out).mean().backward()
+        return step
+
+    def infer(forward):
+        def step():
+            with no_grad():
+                forward()
+        return step
+
+    _bench_against("textcnn_experts/padded", train(stacked), train(per_expert),
+                   entries, dtype=str(x.dtype))
+    _bench_against("textcnn_experts/padded/no_grad", infer(stacked), infer(per_expert),
                    entries, dtype=str(x.dtype))
 
     path = record_bench("engine", entries)

@@ -144,6 +144,7 @@ class SyntheticNewsGenerator:
         self._specs = config.scaled_specs()
         self._num_domains = len(self._specs)
         self._affinity = self._build_domain_affinity()
+        self._zipf: dict[int, np.ndarray] = {}  # vocabulary size -> Zipf weights
 
     # ------------------------------------------------------------------ #
     # Vocabulary helpers                                                   #
@@ -192,9 +193,11 @@ class SyntheticNewsGenerator:
     # Item generation                                                      #
     # ------------------------------------------------------------------ #
     def _zipf_choice(self, vocab_size: int, count: int) -> np.ndarray:
-        ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
-        probabilities = 1.0 / ranks
-        probabilities /= probabilities.sum()
+        probabilities = self._zipf.get(vocab_size)
+        if probabilities is None:
+            probabilities = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64)
+            probabilities /= probabilities.sum()
+            self._zipf[vocab_size] = probabilities
         return self._rng.choice(vocab_size, size=count, p=probabilities)
 
     def _generate_item(self, domain: int, label: int, item_id: int,

@@ -161,7 +161,7 @@ class HttpFrontend:
                 predictions = await self.server.submit_many(
                     texts, domains=request.get("domains"),
                     deadline_ms=deadline_ms)
-            except ValueError as error:  # mismatched domains length
+            except ValueError as error:  # malformed or mismatched domains
                 return 400, {"error": str(error)}
             return 200, {"predictions": [p.as_dict() for p in predictions]}
         return 400, {"error": "request must carry 'text' or 'texts'"}

@@ -118,6 +118,26 @@ def resolve_domain(domain, domain_names: Sequence[str], num_domains: int,
     return int(domain)
 
 
+def broadcast_domains(domains, count: int) -> list:
+    """One domain per text from the ``domains`` argument of a batch call.
+
+    ``None``, a ``str`` or an integer index (``int`` or ``numpy.integer``,
+    not ``bool``) is one domain for all ``count`` texts; a ``list`` holds one
+    domain per text.  Anything else, or a list of another length, raises
+    ``ValueError`` before any text is served.  Each domain is then checked
+    by :func:`resolve_domain`.
+    """
+    if domains is None or isinstance(domains, str) or (
+            isinstance(domains, (int, np.integer)) and not isinstance(domains, bool)):
+        return [domains] * count
+    if not isinstance(domains, list):
+        raise ValueError("domains must be a name, an integer index or a list, "
+                         f"got {domains!r}")
+    if len(domains) != count:
+        raise ValueError(f"{len(domains)} domains given for {count} texts")
+    return domains
+
+
 def _check_bucket_size(bucket_size: int | None, pipeline: Pipeline) -> None:
     """Refuse a ``bucket_size`` that short requests could not be scored with."""
     if bucket_size is None:
@@ -212,13 +232,8 @@ class Predictor:
                               self.default_domain)
 
     def _resolve_domains(self, domains, count: int) -> np.ndarray:
-        if domains is None:
-            return np.full(count, self.default_domain, dtype=np.int64)
-        if isinstance(domains, (int, str)):
-            return np.full(count, self._domain_index(domains), dtype=np.int64)
-        if len(domains) != count:
-            raise ValueError(f"{len(domains)} domains given for {count} texts")
-        return np.array([self._domain_index(domain) for domain in domains],
+        return np.array([self._domain_index(domain)
+                         for domain in broadcast_domains(domains, count)],
                         dtype=np.int64)
 
     def _padded_length(self, mask: np.ndarray) -> int:
@@ -411,12 +426,7 @@ class Predictor:
             return run(substituted)
 
     def _resolve_safe_domains(self, domains, count: int) -> list[tuple[int, str | None]]:
-        if domains is None or isinstance(domains, (int, str)):
-            resolved = self._safe_domain(domains)
-            return [resolved] * count
-        if len(domains) != count:
-            raise ValueError(f"{len(domains)} domains given for {count} texts")
-        return [self._safe_domain(domain) for domain in domains]
+        return [self._safe_domain(domain) for domain in broadcast_domains(domains, count)]
 
     def _failure_for(self, index: int, errors: dict[int, str],
                      domain_ids: list[int], elapsed_ms: float) -> Prediction:

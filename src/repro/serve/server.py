@@ -55,7 +55,8 @@ from dataclasses import dataclass
 from repro.reliability.pool import SupervisedPool, check_max_restarts
 from repro.serve.microbatch import flush_decision
 from repro.serve.pipeline import read_manifest, verify_pipeline
-from repro.serve.predictor import Prediction, resolve_domain, text_problem
+from repro.serve.predictor import (Prediction, broadcast_domains, resolve_domain,
+                                   text_problem)
 from repro.serve.stats import ServeStats
 from repro.serve.worker import BatchJob, worker_setup
 
@@ -404,15 +405,17 @@ class Server:
         Rejections (invalid input, overload shed) come back as error
         :class:`Prediction`\\ s in their slot instead of failing the whole
         call, so callers can tell exactly which requests to retry.
+
+        ``domains`` follows :func:`~repro.serve.predictor.broadcast_domains`;
+        one it refuses raises ``ValueError`` before any text is queued, and
+        every text counts as ``rejected``.
         """
         texts = list(texts)
-        if domains is None or isinstance(domains, (int, str)):
-            domain_list = [domains] * len(texts)
-        else:
-            domain_list = list(domains)
-            if len(domain_list) != len(texts):
-                raise ValueError(f"{len(domain_list)} domains given for "
-                                 f"{len(texts)} texts")
+        try:
+            domain_list = broadcast_domains(domains, len(texts))
+        except ValueError:
+            self.stats.count("rejected", len(texts))
+            raise
 
         async def one(text, domain) -> Prediction:
             try:

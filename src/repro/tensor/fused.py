@@ -862,21 +862,28 @@ def textcnn(x: Tensor, weights: Sequence[Tensor] | Sequence[Sequence[Tensor]],
     * The unfold is a zero-copy ``(batch, L_k, k * channels)`` window view
       of ``x``; its reshape to the 2-D ``(batch * L_k, k * channels)`` GEMM
       operand is the only copy, made once per kernel for all experts.
-    * One 2-D GEMM per expert writes, with its bias, into a shared
-      time-major ``(L_k, batch, experts * n)`` buffer, so the max over time
-      reduces contiguous slabs instead of a strided axis.  The GEMMs stay per
-      expert on purpose: one GEMM over the column-stacked expert weights is
-      not bit-identical to the per-expert products on OpenBLAS (it blocks
-      the wider product differently), and the stacked node must reproduce an
-      expert's single-encoder result exactly.
+    * One 2-D GEMM per expert writes its column block of a shared
+      batch-major ``(batch * L_k, experts * n)`` buffer; one bias add then
+      transposes the buffer into a time-major ``(L_k, batch, experts * n)``
+      map, so the max over time reduces contiguous slabs instead of a strided
+      axis.  The GEMMs stay per expert on purpose: one GEMM over the
+      column-stacked expert weights is not bit-identical to the per-expert
+      products on OpenBLAS (it blocks the wider product differently), and
+      the stacked node must reproduce an expert's single-encoder result
+      exactly.
     * The backward routes each pooled gradient to the *first* maximal time
-      step, found once in the forward over all expert lanes (flat scatter
-      positions, no ``argmax``); the bias gradients are one column sum over
-      ``(batch, L_k)`` rows, and each expert's weight gradient is the GEMM
-      of the unfold with its column block of the scattered gradient — the
-      composed path's order.  The input gradient sums the experts inside one
-      GEMM against their column-stacked weights: equal to the per-expert sum
-      up to rounding (MDFEND's input, a frozen feature, takes no gradient).
+      step of its (row, lane) cell, found once in the forward over all
+      expert lanes with no index search: every winner scores ``L_k - t`` and
+      one max over time picks each cell's earliest, ties included.  The
+      scatter positions are kept in cell order, so the backward writes the
+      pooled gradient into the batch-major ``(batch * L_k, lanes)`` gradient
+      as it is.  Every column of that gradient holds one routed value per
+      row, so the bias gradients are the pooled gradient's column sums, and
+      each expert's weight gradient is the GEMM of the unfold with its column
+      block of the scattered gradient — the composed path's order.  The
+      input gradient sums the experts inside one GEMM against their
+      column-stacked weights: equal to the per-expert sum up to rounding
+      (MDFEND's input, a frozen feature, takes no gradient).
     """
     single = isinstance(weights[0], Tensor)
     if single:
@@ -897,12 +904,18 @@ def textcnn(x: Tensor, weights: Sequence[Tensor] | Sequence[Sequence[Tensor]],
     recording = _recording(*parents)
     width = flat_weights[0].data.shape[1]
     lanes = experts * width
-    cells = batch * lanes
     lane_slices = [slice(expert * width, (expert + 1) * width) for expert in range(experts)]
-    dtype = np.result_type(x.data, *(p.data for p in flat_weights),
-                           *(p.data for p in flat_biases))
-    data = np.empty((batch, experts, len(kernel_sizes) * width), dtype)
     source = np.ascontiguousarray(x.data)
+    conv_dtype = np.result_type(source, *(p.data for p in flat_weights))
+    dtype = np.result_type(conv_dtype, *(p.data for p in flat_biases))
+    data = np.empty((batch, experts, len(kernel_sizes) * width), dtype)
+    if recording:
+        # A winner at step t of a map out_len steps long scores out_len - t,
+        # the tail of one score ramp sized for the longest map.
+        longest = seq_len - min(kernel_sizes) + 1
+        ramp = np.arange(longest, 0, -1, dtype=np.min_scalar_type(longest))[:, None, None]
+        row_ends = np.arange(1, batch + 1)[:, None] * lanes
+        lane_index = np.arange(lanes)
     saved = []
     for index, kernel_size in enumerate(kernel_sizes):
         out_len = seq_len - kernel_size + 1
@@ -912,26 +925,27 @@ def textcnn(x: Tensor, weights: Sequence[Tensor] | Sequence[Sequence[Tensor]],
         windows = np.ndarray((batch, out_len, kernel_size * channels), source.dtype,
                              source, 0, source.strides)
         unfolded = windows.reshape(batch * out_len, kernel_size * channels)
-        time_major = np.empty((out_len, batch, lanes), dtype)
+        conv = np.empty((batch * out_len, lanes), conv_dtype)
         for expert, lane in enumerate(lane_slices):
-            conv = unfolded @ weights[expert][index].data
-            np.add(conv.reshape(batch, out_len, width).transpose(1, 0, 2),
-                   biases[expert][index].data, out=time_major[:, :, lane])
-        pooled = time_major.max(axis=0).reshape(batch, experts, width)
-        np.maximum(pooled, 0.0, out=data[:, :, index * width:(index + 1) * width])
+            np.matmul(unfolded, weights[expert][index].data, out=conv[:, lane])
+        bias = np.concatenate([expert_biases[index].data for expert_biases in biases])
+        time_major = np.empty((out_len, batch, lanes), dtype)
+        np.add(conv.reshape(batch, out_len, lanes).transpose(1, 0, 2), bias, out=time_major)
+        pooled = time_major.max(axis=0)
+        np.maximum(pooled.reshape(batch, experts, width), 0.0,
+                   out=data[:, :, index * width:(index + 1) * width])
         if recording:
-            winners = time_major == pooled.reshape(batch, lanes)
-            positions = np.flatnonzero(winners)
-            if positions.size != cells:
-                # Exact ties: keep only the first maximal time step.
-                winners[1:] &= ~np.logical_or.accumulate(winners, axis=0)[:-1]
-                positions = np.flatnonzero(winners)
-            # Time-major flat position t * cells + (b * lanes + l) -> flat
-            # position (b * out_len + t) * lanes + l of the batch-major
-            # (batch * out_len, lanes) gradient; ``cell`` indexes the pooled grad.
-            step, cell = np.divmod(positions, cells)
-            row_major = ((cell // lanes) * out_len + step) * lanes + cell % lanes
-            saved.append((unfolded, row_major, cell, pooled > 0.0))
+            # Each cell's top score marks its first maximal step, ties
+            # included.  A cell with no winner (a NaN maximum) scores 0 and
+            # routes to the last step.
+            top = np.multiply(time_major == pooled, ramp[longest - out_len:]).max(axis=0)
+            np.maximum(top, 1, out=top)
+            # Cell (b, l) -> flat position (b * out_len + out_len - top) * lanes
+            # + l of the batch-major (batch * out_len, lanes) gradient.
+            row_major = row_ends * out_len + lane_index
+            row_major -= np.multiply(top, lanes, dtype=np.intp)
+            saved.append((unfolded, row_major.reshape(-1),
+                          (pooled > 0.0).reshape(batch, experts, width)))
     if single:
         data = data.reshape(batch, len(kernel_sizes) * width)
     if not recording:
@@ -940,11 +954,11 @@ def textcnn(x: Tensor, weights: Sequence[Tensor] | Sequence[Sequence[Tensor]],
     def backward(grad):
         grad = grad.reshape(batch, experts, len(kernel_sizes) * width)
         for index, kernel_size in enumerate(kernel_sizes):
-            unfolded, row_major, cell, alive = saved[index]
+            unfolded, row_major, alive = saved[index]
             out_len = seq_len - kernel_size + 1
-            routed = grad[:, :, index * width:(index + 1) * width] * alive
+            routed = (grad[:, :, index * width:(index + 1) * width] * alive).reshape(-1)
             d_conv = np.zeros(batch * out_len * lanes, routed.dtype)
-            d_conv[row_major] = routed.reshape(-1)[cell]
+            d_conv[row_major] = routed
             d_conv = d_conv.reshape(batch * out_len, lanes)
             if x.requires_grad:
                 stacked = (weights[0][index].data if experts == 1 else np.concatenate(
@@ -958,7 +972,13 @@ def textcnn(x: Tensor, weights: Sequence[Tensor] | Sequence[Sequence[Tensor]],
                     for offset in range(kernel_size):
                         d_x[:, offset:offset + out_len, :] += d_unfolded[:, :, offset, :]
                 x._accumulate_grad(d_x, owned=True)
-            bias_grads = d_conv.sum(axis=0)
+            # d_conv's column sums add each row's one routed value in row
+            # order, with zeros between them when out_len > 1: adding +0.0
+            # gives the sign those zeros give a sum of -0.0s, also where a
+            # NumPy reduction starts from the first row instead of +0.0.
+            bias_grads = routed.reshape(batch, lanes).sum(axis=0)
+            if out_len > 1:
+                bias_grads += 0.0
             for expert, lane in enumerate(lane_slices):
                 weight, bias = weights[expert][index], biases[expert][index]
                 if weight.requires_grad:

@@ -1,5 +1,8 @@
 """The synthetic corpus generator: statistics fidelity and bias structure."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,17 @@ class TestGenerator:
         a = make_weibo21_like(scale=0.05, seed=11)
         b = make_weibo21_like(scale=0.05, seed=11)
         assert [item.text for item in a][:20] == [item.text for item in b][:20]
+
+    def test_corpus_digest_is_pinned(self):
+        """The Weibo21-like corpus at the default Chinese scale, byte for byte:
+        every item's id, text, labels and metadata."""
+        digest = hashlib.sha256()
+        for item in make_weibo21_like(scale=0.3).items:
+            digest.update(json.dumps([item.item_id, item.text, item.label, item.domain,
+                                      item.domain_name, item.metadata],
+                                     sort_keys=True).encode())
+        assert digest.hexdigest() == \
+            "c25d9839f7b7db8e6a3757e3ccc08ac3be2169b68390d4284f802fc76449eb27"
 
     def test_different_seeds_differ(self):
         a = make_weibo21_like(scale=0.05, seed=1)

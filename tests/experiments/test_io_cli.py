@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.config import experiment_config
 from repro.experiments.io import load_results, report_to_dict, results_to_json, save_results
+from repro.experiments.orchestrator import TABLE_CELLS
+from repro.experiments.runner import prepare_data
 from repro.metrics import evaluate_predictions
 from repro.serve import WEIGHTS_FILE
 
@@ -71,6 +74,22 @@ class TestCLI:
         assert "BERT" in capsys.readouterr().out
         loaded = load_results(output)
         assert "bert" in loaded and "f1" in loaded["bert"]
+
+    def test_ablation_table9_matches_the_sweep_cell(self, tmp_path, capsys):
+        """`ablation` prints the Table IX rows the sweep's ``table9`` cell
+        builds on the same settings: Table IX starts from a reseeded bundle,
+        not from the shuffle streams Table VIII left behind."""
+        output = tmp_path / "ablation.json"
+        code = main(["ablation", "--dataset", "chinese", "--scale", "0.05",
+                     "--epochs", "1", "--students", "textcnn_s", "--output", str(output)])
+        assert code == 0
+        assert "DAT vs DAT-IE (textcnn_s)" in capsys.readouterr().out
+        config = experiment_config("chinese", {"scale": 0.05, "epochs": 1})
+        bundle = prepare_data(config)
+        bundle.reseed()
+        _, results = TABLE_CELLS["table9"].runner(config, bundle)
+        expected = json.loads(results_to_json(results))["textcnn_s"]
+        assert load_results(output)["dat"]["textcnn_s"] == expected
 
 
 class TestServeCLI:

@@ -198,11 +198,17 @@ class TestPredict:
     def test_malformed_domain_is_unknown(self, domain, model_config, tiny_vocab,
                                          tiny_encoder, tiny_dataset):
         """A domain is None, a name or an integer index; anything else is
-        refused like an unknown domain instead of being coerced by int()."""
+        refused like an unknown domain instead of being coerced by int().
+        As the whole ``domains`` argument, anything but those or a list is
+        refused as malformed."""
         predictor = _pipeline(model_config, tiny_vocab, tiny_encoder,
                               tiny_dataset, "float64").predictor()
         with pytest.raises(KeyError, match="name or an integer index"):
             predictor.predict(["x"], domains=[domain])
+        if not isinstance(domain, list):
+            for call in (predictor.predict, predictor.predict_safe):
+                with pytest.raises(ValueError, match="an integer index or a list"):
+                    call(["x"], domains=domain)
         queue = predictor.microbatch(max_batch=4, max_latency_ms=1e9)
         with pytest.raises(KeyError, match="name or an integer index"):
             queue.submit("x", domain)

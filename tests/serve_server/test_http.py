@@ -121,6 +121,23 @@ class TestStatusMapping:
         assert message in payload["error"]
         assert server.stats.rejected == rejected + 1
 
+    @pytest.mark.parametrize("domains, message", [
+        (1.5, "domains must be a name, an integer index or a list"),
+        ({"a": 1}, "domains must be a name, an integer index or a list"),
+        (True, "domains must be a name, an integer index or a list"),
+        (["military"], "1 domains given for 2 texts"),
+    ], ids=["float", "object", "bool", "short-list"])
+    def test_malformed_batch_domains_are_400(self, http_stack, domains, message):
+        """A batch whose ``domains`` is neither one domain nor a list of one
+        per text is refused whole: HTTP 400 and one ``rejected`` per text."""
+        server, port = http_stack
+        rejected = server.stats.rejected
+        status, payload = _request(port, "POST", "/predict",
+                                   {"texts": ["fine", "also fine"], "domains": domains})
+        assert status == 400
+        assert message in payload["error"]
+        assert server.stats.rejected == rejected + 2
+
     def test_malformed_json_is_400(self, http_stack):
         _, port = http_stack
         connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)

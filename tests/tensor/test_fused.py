@@ -10,6 +10,8 @@ nodes.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -495,6 +497,112 @@ class TestTextCNNExperts:
         assert stacked[0].dtype == dtype
         for got, expected in zip(stacked, per_expert):
             assert np.array_equal(got, expected)
+
+
+def test_textcnn_experts_route_each_cell_to_its_first_winner():
+    """Two experts over kernel 1 where only some (row, lane) cells tie: every
+    pooled gradient lands on its cell's first maximal time step."""
+    # conv[b, t, e, l] = x[b, t] * w[e, l] + bias[e, l].  Expert 0 lane 0 is
+    # x (row 0 ties at t=1,2, row 1 at t=0,2,3); expert 1 lane 0 is the
+    # constant 1 (every step ties); both lanes 1 have unique maxima.
+    x_data = np.array([[1.0, 3.0, 3.0, 2.0], [5.0, 0.0, 5.0, 5.0]])
+    w = np.array([[1.0, -1.0], [0.0, -2.0]])
+    bias = np.array([[0.0, 10.0], [1.0, 12.0]])
+    upstream = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    x = Tensor(x_data[:, :, None], requires_grad=True)
+    weights = [[Tensor(w[e][None, :], requires_grad=True)] for e in range(2)]
+    biases = [[Tensor(bias[e], requires_grad=True)] for e in range(2)]
+    out = fused.textcnn(x, weights, biases, (1,))
+    out.backward(upstream)
+
+    conv = x_data[:, :, None, None] * w + bias
+    first = conv.argmax(axis=1)  # argmax takes the first maximal step
+    np.testing.assert_array_equal(first, [[[1, 0], [0, 0]], [[0, 1], [0, 1]]])
+    np.testing.assert_array_equal(out.numpy(), conv.max(axis=1))
+    d_conv = np.zeros_like(conv)
+    rows, experts, lanes = np.indices(first.shape)
+    d_conv[rows, first, experts, lanes] = upstream
+    np.testing.assert_array_equal(x.grad[:, :, 0], (d_conv * w).sum(axis=(2, 3)))
+    for e in range(2):
+        np.testing.assert_array_equal(
+            weights[e][0].grad[0], (x_data[:, :, None] * d_conv[:, :, e]).sum(axis=(0, 1)))
+        np.testing.assert_array_equal(biases[e][0].grad, upstream[:, e].sum(axis=0))
+
+
+# The SHA-256 of ``fused.textcnn``'s output, input gradient, weight gradients
+# and bias gradients (in that order) for each case of ``_digest_case``.
+TEXTCNN_DIGESTS = {
+    ("student", "float64"):
+        "e9e1e3900841dfacbeb78cb675c45735ceafa4892fecb02b4ff5f0223e25e3d9",
+    ("student", "float32"):
+        "d2ee65eea627e9ca0e3ee87be67cbfd920bb2a6e778e0cb74d83b270da777a8a",
+    ("experts", "float64"):
+        "aae3eafb4ec316c22e6d756db5e26bbcfdc3f7795c481708fb1ed18e4c004151",
+    ("experts", "float32"):
+        "fdb392d5c21b45cbb524184d88f4d11eeac2921ad0fb730d7ceb7a0f100a5639",
+    ("one_window", "float64"):
+        "ab8907b84e0f858b8518ebb310186ebc32630684e86a5f28955c4b5543d27f26",
+    ("one_window", "float32"):
+        "a0320d2ffb5a0d2fdda29e6251f90afbd8367de9495a5ecdb8b9d9c888b53ca3",
+}
+
+
+def _digest_case(case: str, dtype) -> str:
+    """Run one forward and backward of ``fused.textcnn`` and hash the bytes.
+
+    Inputs sit on a dyadic grid (``x`` in steps of 2**-8 within [-1, 1],
+    weights in steps of 2**-8 within [-1/4, 1/4], biases and upstream
+    gradients in steps of 2**-4), so every product and sum the node forms is
+    exact in float32 and the digests hold on any BLAS kernel.  What they pin
+    is the node's own bookkeeping: the time step each cell routes to, the
+    ReLU gate and the sign of every zero.  Rows are zero past ragged lengths,
+    so windows inside the padding tie (each equals the bias).  Lane 0 of
+    every kernel is dead on every row and takes negative upstream gradients,
+    so its bias gradient is a sum of negative zeros.
+    """
+    batch, seq_len, channels, width, kernel_sizes, experts = {
+        "student": (32, 24, 32, 24, (1, 2, 3, 5), 1),
+        "experts": (32, 24, 32, 24, (1, 2, 3, 5), 4),
+        "one_window": (5, 5, 3, 4, (1, 5), 1),
+    }[case]
+    rng = np.random.default_rng(26)
+    lengths = rng.integers(3, seq_len + 1, batch)
+    x = rng.integers(-256, 257, (batch, seq_len, channels)) / 256
+    x[np.arange(seq_len)[None, :] >= lengths[:, None]] = 0.0
+    weights = [[rng.integers(-64, 65, (k * channels, width)) / 256 for k in kernel_sizes]
+               for _ in range(experts)]
+    biases = [[rng.integers(-16, 17, width) / 16 for _ in kernel_sizes]
+              for _ in range(experts)]
+    for expert_biases in biases:
+        for kernel_bias in expert_biases:
+            kernel_bias[0] = -64.0
+    upstream = rng.integers(-32, 33, (batch, experts, len(kernel_sizes) * width)) / 16
+    upstream[:, :, ::width] = -1.0 / 16 - np.abs(upstream[:, :, ::width])
+    with default_dtype(dtype):
+        xt = Tensor(x, requires_grad=True)
+        weights = [[Tensor(w, requires_grad=True) for w in ws] for ws in weights]
+        biases = [[Tensor(b, requires_grad=True) for b in bs] for bs in biases]
+        if experts == 1:
+            out = fused.textcnn(xt, weights[0], biases[0], kernel_sizes)
+            upstream = upstream.reshape(batch, -1)
+        else:
+            out = fused.textcnn(xt, weights, biases, kernel_sizes)
+        out.backward(upstream.astype(dtype))
+    digest = hashlib.sha256()
+    for array in (out.data, xt.grad, *(w.grad for ws in weights for w in ws),
+                  *(b.grad for bs in biases for b in bs)):
+        assert array.dtype == dtype
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=("float64", "float32"))
+@pytest.mark.parametrize("case", ("student", "experts", "one_window"))
+def test_textcnn_digests(case, dtype):
+    """``fused.textcnn`` is byte-identical to the recorded kernel, in both
+    dtypes, for the student's shape, MDFEND's four experts and a kernel as
+    long as the sequence (one window per row)."""
+    assert _digest_case(case, dtype) == TEXTCNN_DIGESTS[case, np.dtype(dtype).name]
 
 
 # --------------------------------------------------------------------------- #
