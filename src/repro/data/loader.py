@@ -4,7 +4,9 @@ The loader encodes the whole dataset once (token ids, mask, labels, domains)
 and optionally precomputes *feature channels*
 (:class:`repro.encoders.FeatureChannel`) — e.g. the frozen pre-trained
 encoder output, style features or emotion features — so that iterating over
-epochs is just array slicing.
+epochs is just array slicing.  :func:`fill_channel` computes every channel
+in fixed row windows, at construction and for
+:class:`repro.data.StreamWindowBuffer` ring writes alike.
 """
 
 from __future__ import annotations
@@ -18,6 +20,44 @@ from repro.data.dataset import MultiDomainNewsDataset
 from repro.data.tokenizer import WhitespaceTokenizer
 from repro.data.vocab import Vocabulary
 from repro.tensor import get_default_dtype
+
+
+#: Rows per :meth:`FeatureChannel.extract` call in :func:`fill_channel`.
+#: Extraction temporaries (the frozen encoder's float64 intermediates) then
+#: scale with this window instead of with the split.
+FILL_WINDOW = 256
+
+
+def fill_channel(channel, items: Sequence, token_ids: np.ndarray,
+                 mask: np.ndarray, out: np.ndarray | None = None,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Write ``channel``'s features for ``items`` into ``out``, window by window.
+
+    Runs ``channel.extract`` over consecutive :data:`FILL_WINDOW`-row slices
+    of ``items``/``token_ids``/``mask`` and writes each result straight into
+    ``out[rows]`` (``rows[i]`` is where item ``i`` lands; default: row ``i``).
+    Without ``out``, the first window sizes a new ``(len(items), ...)``
+    array: floating channels are stored in the compute dtype, any other
+    channel keeps its own dtype.  This is exact because ``extract`` is
+    row-wise (see :meth:`FeatureChannel.extract`).  A window that comes back
+    with the wrong row count raises ``ValueError`` naming the channel.
+    """
+    total = len(items)
+    for start in range(0, max(total, 1), FILL_WINDOW):
+        stop = min(start + FILL_WINDOW, total)
+        values = np.asarray(channel.extract(items[start:stop],
+                                            token_ids[start:stop],
+                                            mask[start:stop]))
+        if values.shape[0] != stop - start:
+            raise ValueError(
+                f"feature channel '{channel.name}' returned {values.shape[0]} "
+                f"rows for {stop - start} items")
+        if out is None:
+            dtype = (get_default_dtype()
+                     if np.issubdtype(values.dtype, np.floating) else values.dtype)
+            out = np.empty((total,) + values.shape[1:], dtype=dtype)
+        out[slice(start, stop) if rows is None else rows[start:stop]] = values
+    return out
 
 
 @dataclass
@@ -75,20 +115,12 @@ class DataLoader:
         self.domains = dataset.domains
         # Store floating arrays in the engine's compute dtype once, so the
         # models never re-cast per batch (matters on the float32 fast path).
-        compute_dtype = get_default_dtype()
-        self.mask = self.mask.astype(compute_dtype, copy=False)
+        self.mask = self.mask.astype(get_default_dtype(), copy=False)
         self.channels = self._channel_objects(channels)
-        self.features: dict[str, np.ndarray] = {}
-        for channel in self.channels:
-            values = np.asarray(channel.extract(dataset.items, self.token_ids,
-                                                self.mask))
-            if values.shape[0] != len(dataset):
-                raise ValueError(
-                    f"feature channel '{channel.name}' returned {values.shape[0]} "
-                    f"rows for a dataset of size {len(dataset)}")
-            if np.issubdtype(values.dtype, np.floating):
-                values = values.astype(compute_dtype, copy=False)
-            self.features[channel.name] = values
+        self.features: dict[str, np.ndarray] = {
+            channel.name: fill_channel(channel, dataset.items, self.token_ids,
+                                       self.mask)
+            for channel in self.channels}
         # Identity index array shared by every deterministic iteration: eval
         # batches slice views out of it instead of allocating ranges per batch.
         self._identity = np.arange(len(dataset))

@@ -5,9 +5,10 @@ than rebuilding a loader per adaptation (which would re-encode the whole
 corpus and drop every precomputed teacher output),
 :class:`StreamWindowBuffer` overwrites loader rows **in place**: each write
 re-encodes the new items through the same :func:`repro.data.encode_texts` +
-feature-channel path the loader used at construction, lands them at the ring
-cursor, and returns the absolute row indices it touched — exactly the
-handle :meth:`repro.core.DTDBDTrainer.invalidate_teacher_caches` needs to
+:func:`~repro.data.loader.fill_channel` path the loader used at
+construction, lands them at the ring cursor, and returns the absolute row
+indices it touched — exactly the handle
+:meth:`repro.core.DTDBDTrainer.invalidate_teacher_caches` needs to
 invalidate only the :class:`~repro.core.TeacherCache` windows containing
 fresh data.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import FAKE_LABEL, REAL_LABEL, NewsItem, encode_texts
-from repro.data.loader import DataLoader
+from repro.data.loader import DataLoader, fill_channel
 
 
 class StreamWindowBuffer:
@@ -86,15 +87,8 @@ class StreamWindowBuffer:
         loader.domains[indices] = np.array([item.domain for item in items],
                                            dtype=loader.domains.dtype)
         for channel in loader.channels:
-            values = np.asarray(channel.extract(items, token_ids, mask))
-            if values.shape[0] != len(items):
-                raise ValueError(
-                    f"feature channel '{channel.name}' returned "
-                    f"{values.shape[0]} rows for {len(items)} items")
-            target = loader.features[channel.name]
-            if np.issubdtype(values.dtype, np.floating):
-                values = values.astype(target.dtype, copy=False)
-            target[indices] = values
+            fill_channel(channel, items, token_ids, mask,
+                         out=loader.features[channel.name], rows=indices)
         for index, item in zip(indices, items):
             loader.dataset.items[int(index)] = item
         self._cursor = int((self._cursor + len(items)) % self.capacity)

@@ -95,7 +95,15 @@ class FeatureChannel(abc.ABC):
     @abc.abstractmethod
     def extract(self, items: Sequence[NewsItem], token_ids: np.ndarray,
                 mask: np.ndarray) -> np.ndarray:
-        """Training-time extraction: one row per item, batch dimension first."""
+        """Training-time extraction: one row per item, batch dimension first.
+
+        Must be row-wise: a row's features depend only on that row's item,
+        token ids and mask.  The loader calls it per window of
+        :data:`repro.data.loader.FILL_WINDOW` rows (at construction and for
+        ring writes) and serving calls :meth:`serve` per request batch;
+        both are bit-identical to one call over all rows only because of
+        this contract.
+        """
 
     @abc.abstractmethod
     def serve(self, request: ServeRequest) -> np.ndarray:

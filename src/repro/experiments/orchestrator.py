@@ -56,6 +56,7 @@ from repro.reliability.durable import sha256_bytes
 from repro.reliability.faults import fault_point
 from repro.reliability.pool import SupervisedPool, check_max_restarts
 from repro.reliability.retry import RetryPolicy
+from repro.utils import openblas_thread_controls
 
 
 class SweepFailed(RuntimeError):
@@ -90,8 +91,16 @@ class CellSpec:
 
 
 def sweep_fingerprint(specs) -> str:
-    """Content hash over every cell spec — the journal's sweep identity."""
+    """Content hash over every cell spec — the journal's sweep identity.
+
+    The thread count of the loaded OpenBLAS (``None`` without one) is part
+    of the identity: OpenBLAS splits a large GEMM differently with more
+    threads, so a journal written under another count holds results this
+    process would not reproduce bit for bit.
+    """
     parts = sorted(f"{spec.cell_id}:{spec.fingerprint()}" for spec in specs)
+    _, blas_threads = openblas_thread_controls()
+    parts.append(f"blas_threads:{blas_threads() if blas_threads else None}")
     return sha256_bytes("\n".join(parts).encode("utf-8"))[:16]
 
 

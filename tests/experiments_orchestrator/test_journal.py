@@ -57,6 +57,32 @@ def test_resume_refuses_a_different_sweep_fingerprint(tmp_path):
                   journal_dir=journal_dir, resume=True)
 
 
+def test_resume_refuses_a_journal_from_another_blas_thread_count(tmp_path,
+                                                                 monkeypatch):
+    from repro.experiments import orchestrator
+
+    def blas_threads(count):
+        getter = None if count is None else (lambda: count)
+        monkeypatch.setattr(orchestrator, "openblas_thread_controls",
+                            lambda: (None, getter))
+
+    specs = _specs()
+    blas_threads(1)
+    journal_dir = _completed_journal(tmp_path, specs)
+    pinned = sweep_fingerprint(specs)
+    blas_threads(4)
+    assert sweep_fingerprint(specs) != pinned
+    with pytest.raises(JournalError, match="different sweep"):
+        run_sweep(specs, config=OrchestratorConfig(jobs=0),
+                  journal_dir=journal_dir, resume=True)
+    blas_threads(None)  # no OpenBLAS loaded is an identity of its own
+    assert sweep_fingerprint(specs) != pinned
+    blas_threads(1)
+    resumed = run_sweep(specs, config=OrchestratorConfig(jobs=0),
+                        journal_dir=journal_dir, resume=True)
+    assert [outcome.status for outcome in resumed.outcomes] == ["cached"] * 3
+
+
 def test_corrupt_journal_is_refused_naming_the_file(tmp_path):
     specs = _specs()
     journal_dir = _completed_journal(tmp_path, specs)
